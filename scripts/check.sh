@@ -81,6 +81,11 @@ echo "== ASan/UBSan: Merkle trie + state commitment differential fuzz =="
 SC_TRIE_FUZZ_ROUNDS=200 ctest --test-dir build-asan --output-on-failure \
   -R "TrieDifferentialFuzz|MerkleTrie|StateCommitment"
 
+echo "== ASan/UBSan: sealed-template adoption =="
+# A held template moves its delta and receipts from build_block_template into
+# the matching submit_block — rerun the adoption suite sanitized.
+ctest --test-dir build-asan --output-on-failure -R ChainTemplate
+
 echo "== ASan/UBSan: store byte layer + serialization fuzz =="
 # Torn-tail repair, recovery and the codec round-trip/bit-flip fuzzers are
 # exactly the code that touches raw buffers — rerun them sanitized.
@@ -108,6 +113,10 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: parallel executor differential (vs sequential + legacy) =="
   cmake --build build-tsan --target chain_parallel_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R ParallelExec
+
+  echo "== TSan: sealed-template adoption at 4 lanes =="
+  cmake --build build-tsan --target chain_template_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -R "ChainTemplate.*FourLanes"
 
   echo "== TSan: crash/restart + pull-sync node tests =="
   cmake --build build-tsan --target core_node_test -j "$jobs"

@@ -129,6 +129,7 @@ void Blockchain::flatten_into(Entry& entry) {
 }
 
 void Blockchain::move_tip_to(const Hash256& target) {
+  drop_sealed();
   if (tip_at_ == target) return;
   // Collect the deltas to unapply (tip side) and apply (target side) up to
   // the two branches' common ancestor.
@@ -189,20 +190,71 @@ void Blockchain::execute_block_body(const Block& block,
   if (receipts) *receipts = std::move(r);
 }
 
+void Blockchain::roll_commitment(const StateDelta& delta) {
+  // This is the per-block O(changes · log n) cost bench/trie_bench quantifies.
+  const auto t0 = std::chrono::steady_clock::now();
+  commitment_.update(delta, tip_state_);
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
+  telemetry::resolve(telemetry_)
+      .registry
+      .histogram("state_root_update_seconds",
+                 "Wall time of the incremental state-root update per "
+                 "connected block",
+                 telemetry::HistogramSpec::latency_seconds())
+      .observe(elapsed.count());
+}
+
+void Blockchain::drop_sealed() const {
+  if (!sealed_) return;
+  // update() reads the post-transition truth, so one call over the held
+  // delta takes the trie from the template's post-state back to tip_state_.
+  commitment_.update(sealed_->delta, tip_state_);
+  sealed_.reset();
+}
+
+bool Blockchain::SealedTemplate::matches(const Block& block) const {
+  const BlockHeader& h = block.header;
+  if (h.prev_id != header.prev_id || h.height != header.height ||
+      h.timestamp != header.timestamp || h.miner != header.miner ||
+      h.merkle_root != header.merkle_root || h.state_root != header.state_root ||
+      block.transactions.size() != signers.size())
+    return false;
+  for (std::size_t i = 0; i < signers.size(); ++i) {
+    const Transaction& tx = block.transactions[i];
+    if (tx.sender_pubkey != signers[i].first || tx.signature != signers[i].second)
+      return false;
+  }
+  return true;
+}
+
 bool Blockchain::seal_state_root(Block& block, std::string* why) {
   if (!entries_.contains(block.header.prev_id)) {
     if (why) *why = "unknown parent";
     return false;
   }
   move_tip_to(block.header.prev_id);
-  StateDelta delta;
-  execute_block_body(block, nullptr, &delta);
-  commitment_.update(delta, tip_state_);
+  SealedTemplate sealed;
+  execute_block_body(block, &sealed.receipts, &sealed.delta);
+  const bool on_best = block.header.prev_id == best_head_;
+  // On the best head this is the trie roll the block's connect adopts.
+  if (on_best)
+    roll_commitment(sealed.delta);
+  else
+    commitment_.update(sealed.delta, tip_state_);
   block.header.state_root = commitment_.root();
-  // Undo the speculative execution: state and trie roll back in O(changes).
-  delta.unapply(tip_state_);
-  commitment_.update(delta, tip_state_);
-  move_tip_to(best_head_);
+  // The flat state returns to the parent in O(changes), keeping best_state()
+  // exact; the trie stays at the post-state until drop_sealed or adoption.
+  sealed.delta.unapply(tip_state_);
+  if (!on_best) {
+    commitment_.update(sealed.delta, tip_state_);
+    move_tip_to(best_head_);
+    return true;
+  }
+  sealed.header = block.header;
+  sealed.signers.reserve(block.transactions.size());
+  for (const Transaction& tx : block.transactions)
+    sealed.signers.emplace_back(tx.sender_pubkey, tx.signature);
+  sealed_ = std::move(sealed);
   return true;
 }
 
@@ -233,10 +285,19 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
                          RetargetConfig{});
     if (block.header.difficulty != required) return fail("wrong difficulty");
   }
-  if (!block.merkle_consistent()) return fail("merkle root mismatch");
+  // Each transaction is hashed once per connect: the ids serve the Merkle
+  // check, batch verification and the tx index, the cache keys serve batch
+  // verification and the per-transaction signature check.
+  const std::vector<Hash256> tx_ids = block.leaves();
+  if (crypto::merkle_root(tx_ids) != block.header.merkle_root)
+    return fail("merkle root mismatch");
   // `id` was already computed for the duplicate check; reuse it instead of
   // re-hashing the header inside the PoW check.
   if (!skip_pow && !check_pow(block.header, id)) return fail("invalid proof of work");
+  std::vector<Hash256> sig_keys;
+  sig_keys.reserve(tx_ids.size());
+  for (std::size_t i = 0; i < tx_ids.size(); ++i)
+    sig_keys.push_back(SigCache::key_of(block.transactions[i], tx_ids[i]));
 
   // Batch-verify the body's signatures through the verified-tx cache before
   // the per-transaction structural checks: uncached signatures fan out across
@@ -246,11 +307,11 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
   {
     std::vector<crypto::VerifyJob> jobs;
     std::vector<Hash256> job_keys;
-    for (const Transaction& tx : block.transactions) {
-      const Hash256 key = SigCache::key_of(tx);
-      if (sig_cache_.contains(key)) continue;
-      jobs.push_back({tx.sender_pubkey, tx.id(), tx.signature});
-      job_keys.push_back(key);
+    for (std::size_t i = 0; i < tx_ids.size(); ++i) {
+      if (sig_cache_.contains(sig_keys[i])) continue;
+      const Transaction& tx = block.transactions[i];
+      jobs.push_back({tx.sender_pubkey, tx_ids[i], tx.signature});
+      job_keys.push_back(sig_keys[i]);
     }
     const std::vector<bool> ok = crypto::batch_verify(jobs, exec_pool_.get());
     for (std::size_t i = 0; i < ok.size(); ++i)
@@ -261,9 +322,10 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
         .add(jobs.size());
   }
 
-  for (const Transaction& tx : block.transactions) {
-    SigVerdict verdict = SigVerdict::kVerified;
-    if (!validate_transaction(tx, &sig_cache_, nullptr, &verdict))
+  for (std::size_t i = 0; i < tx_ids.size(); ++i) {
+    const SigVerdict verdict = sig_cache_.check(block.transactions[i], sig_keys[i]);
+    if (verdict == SigVerdict::kInvalid ||
+        !validate_transaction_fields(block.transactions[i]))
       return fail("invalid transaction in body");
     if (verdict == SigVerdict::kCacheHit) {
       tel.registry
@@ -274,34 +336,39 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     }
   }
 
-  // Execute journaled on the materialized tip, walked to the parent first
-  // (a no-op when the block extends the current head). Only the block's net
-  // diff is retained.
   Entry entry;
   entry.block = block;
   entry.cumulative_difficulty =
       parent.cumulative_difficulty + std::max<std::uint64_t>(1, block.header.difficulty);
   entry.arrival_order = arrival_counter_++;
 
-  move_tip_to(block.header.prev_id);
-  execute_block_body(block, &entry.receipts, &entry.delta);
-
-  // Roll the commitment forward over the block's delta (timed: this is the
-  // per-block O(changes · log n) cost bench/trie_bench quantifies) and
-  // enforce that the header committed exactly this post-state. A wrong root
-  // is a consensus violation: unwind state and trie and reject.
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    commitment_.update(entry.delta, tip_state_);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
+  const bool adopt = sealed_ && sealed_->matches(block);
+  if (sealed_) {
     tel.registry
-        .histogram("state_root_update_seconds",
-                   "Wall time of the incremental state-root update per "
-                   "connected block",
-                   telemetry::HistogramSpec::latency_seconds())
-        .observe(elapsed.count());
+        .counter("chain_template_connects_total",
+                 "Connects that found a sealed template held: adopted its "
+                 "result, or executed the block themselves",
+                 {{"outcome", adopt ? "adopted" : "reexecuted"}})
+        .inc();
   }
+  if (adopt) {
+    // Our own template: tip_state_ is the parent's post-state and the trie
+    // already sits at this block's, so applying the held delta completes the
+    // transition without executing the body or touching the trie again.
+    entry.delta = std::move(sealed_->delta);
+    entry.receipts = std::move(sealed_->receipts);
+    sealed_.reset();
+    entry.delta.apply(tip_state_);
+  } else {
+    // Execute journaled on the materialized tip, walked to the parent first
+    // (a no-op when the block extends the current head). Only the block's
+    // net diff is retained.
+    move_tip_to(block.header.prev_id);
+    execute_block_body(block, &entry.receipts, &entry.delta);
+    roll_commitment(entry.delta);
+  }
+  // Enforce that the header committed exactly this post-state. A wrong root
+  // is a consensus violation: unwind state and trie and reject.
   if (block.header.state_root != commitment_.root()) {
     entry.delta.unapply(tip_state_);
     commitment_.update(entry.delta, tip_state_);
@@ -353,7 +420,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
       // The common case — the head simply grew by one block. Appending to
       // the index keeps chain growth O(block), where the full rebuild would
       // make it quadratic in chain length.
-      extend_canonical(id);
+      extend_canonical(id, tx_ids);
     } else {
       // A head switch that doesn't extend the previous head abandons part of
       // the old chain: count the event and how many blocks fell off.
@@ -568,14 +635,14 @@ std::vector<std::pair<TxLocation, const Transaction*>> Blockchain::protocol_reco
   return out;
 }
 
-void Blockchain::extend_canonical(const Hash256& id) {
+void Blockchain::extend_canonical(const Hash256& id,
+                                  const std::vector<Hash256>& tx_ids) {
   // Only valid when `id`'s parent is the current canonical head; height was
   // validated as parent+1, so it lands exactly at canonical_.size().
   canonical_.push_back(id);
-  const Block* blk = block(id);
   const std::uint64_t h = canonical_.size() - 1;
-  for (std::size_t i = 0; i < blk->transactions.size(); ++i)
-    tx_index_[blk->transactions[i].id()] = TxLocation{id, h, i};
+  for (std::size_t i = 0; i < tx_ids.size(); ++i)
+    tx_index_[tx_ids[i]] = TxLocation{id, h, i};
 }
 
 void Blockchain::reindex_canonical() {

@@ -17,6 +17,9 @@
 // unapplying/applying deltas — fork switches and reorgs cost O(changed
 // entries along the fork), not O(accounts). Historic states
 // (`state_of`) are rebuilt from the nearest snapshot on demand and cached.
+//
+// A block this chain sealed itself executes once: build_block_template keeps
+// the sealed result and its own submit_block adopts it (DESIGN.md §11).
 #pragma once
 
 #include <memory>
@@ -126,9 +129,12 @@ class Blockchain {
   /// submit_block feeds it; hand it to Mempool::set_sig_cache so admission
   /// and block validation verify each signature once between them.
   SigCache& sig_cache() { return sig_cache_; }
+  const SigCache& sig_cache() const { return sig_cache_; }
 
   /// Validates and connects a block. Returns false with a reason if the
   /// block is malformed, unlinked, fails PoW, or fails execution checks.
+  /// A block matching the template last sealed on the best head adopts that
+  /// template's delta and receipts instead of executing again.
   /// `skip_pow` supports simulation-produced blocks whose production rate is
   /// governed by the event model rather than hash grinding (see DESIGN.md).
   bool submit_block(const Block& block, std::string* why = nullptr,
@@ -202,6 +208,7 @@ class Blockchain {
   /// Assembles a successor of the current best head with Merkle root and
   /// state root sealed (the body is speculatively executed to stamp the
   /// post-state commitment — the "miner executes first" rule). Caller mines.
+  /// The execution result is held for this block's own submit_block.
   /// Under dynamic difficulty, the `difficulty` argument is ignored and the
   /// consensus-mandated value is stamped instead.
   Block build_block_template(const Address& miner, std::uint64_t timestamp,
@@ -209,26 +216,31 @@ class Blockchain {
                              std::vector<Transaction> txs);
 
   /// Executes `block`'s body on its parent's post-state and stamps
-  /// header.state_root with the resulting commitment, leaving the chain
-  /// untouched (the trie roll is undone afterwards). For callers assembling
-  /// blocks by hand — fork builders in tests, attack harnesses — whose
-  /// parent is not the best head; build_block_template does this for the
-  /// canonical path. False if the parent is unknown.
+  /// header.state_root with the resulting commitment, leaving the chain's
+  /// observable state untouched. On the best head the delta, receipts and
+  /// trie roll are held for this block's submit_block (any other commitment
+  /// access rolls the trie back first); on any other parent — fork builders
+  /// in tests, attack harnesses — everything is undone at once.
+  /// build_block_template does this for the canonical path. False if the
+  /// parent is unknown.
   bool seal_state_root(Block& block, std::string* why = nullptr);
 
   /// Authenticated root of the best head's post-state — equals the best
   /// head's header.state_root between submits.
-  const Hash256& state_root() const { return commitment_.root(); }
+  const Hash256& state_root() const { return commitment().root(); }
   /// The live tip commitment (proof surface + node accounting).
-  const StateCommitment& commitment() const { return commitment_; }
+  const StateCommitment& commitment() const {
+    drop_sealed();
+    return commitment_;
+  }
   /// Merkle proof of an account (or its absence) in the best head's state.
   AccountProof prove_account(const Address& addr) const {
-    return commitment_.prove_account(addr, tip_state_);
+    return commitment().prove_account(addr, tip_state_);
   }
   /// Merkle proof of a contract storage slot's value (zero = absent) in the
   /// best head's state.
   StorageProof prove_storage(const Address& addr, const crypto::U256& slot) const {
-    return commitment_.prove_storage(addr, slot, tip_state_);
+    return commitment().prove_storage(addr, slot, tip_state_);
   }
 
   /// The difficulty consensus requires for a child of the current best head
@@ -256,16 +268,33 @@ class Blockchain {
     std::uint64_t arrival_order = 0;  ///< Tie-break: first seen wins.
   };
 
+  /// What seal_state_root computed for a template on the best head, held for
+  /// that template's own submit_block. While held, commitment_ sits at the
+  /// template's post-state and tip_state_ at the parent's.
+  struct SealedTemplate {
+    BlockHeader header;  ///< As stamped; the PoW nonce is never compared.
+    /// Per transaction: Transaction::id() leaves the sender out, so the
+    /// Merkle root alone would let a re-signed body adopt this delta.
+    std::vector<std::pair<crypto::secp256k1::AffinePoint, crypto::secp256k1::Signature>>
+        signers;
+    StateDelta delta;
+    std::vector<Receipt> receipts;
+
+    /// True if `block` (Merkle-consistent) is this template, whatever its nonce.
+    bool matches(const Block& block) const;
+  };
+
   void reindex_canonical();
-  /// O(block) canonical/tx-index append for the head-extends-head fast path.
-  void extend_canonical(const Hash256& id);
+  /// O(block) canonical/tx-index append for the head-extends-head fast path;
+  /// `tx_ids` are the block's transaction ids in body order.
+  void extend_canonical(const Hash256& id, const std::vector<Hash256>& tx_ids);
   /// Blocks abandoned when the head moved from `old_head` to a block that
   /// does not extend it (0 for plain extensions).
   std::uint64_t reorg_depth(const Hash256& old_head) const;
   /// Walks tip_state_ from tip_at_ to `target` (both must be stored) by
   /// unapplying deltas up to the common ancestor and applying down the other
-  /// branch, rolling the state commitment along. O(changed entries along the
-  /// two branches).
+  /// branch, rolling the state commitment along (after dropping a held
+  /// template). O(changed entries along the two branches).
   void move_tip_to(const Hash256& target);
   /// Executes `block`'s body on tip_state_ (which must equal the parent's
   /// post-state), committing the journal and returning the net delta;
@@ -273,6 +302,13 @@ class Blockchain {
   /// up with commitment_.update for the direction they need.
   void execute_block_body(const Block& block, std::vector<Receipt>* receipts,
                           StateDelta* delta);
+  /// Rolls commitment_ over `delta` to tip_state_ (already transitioned),
+  /// timed into state_root_update_seconds: one sample per connected block.
+  void roll_commitment(const StateDelta& delta);
+  /// Drops a held template, rolling commitment_ back to tip_state_; a no-op
+  /// when none is held. Everything that reads or moves the commitment other
+  /// than the template's own submit_block calls this first.
+  void drop_sealed() const;
   /// Stores a full snapshot for `entry` (assumed == tip_state_) and updates
   /// the flatten telemetry.
   void flatten_into(Entry& entry);
@@ -301,8 +337,10 @@ class Blockchain {
   /// The one materialized state, walked across the tree via deltas.
   WorldState tip_state_;
   /// Authenticated commitment mirroring tip_state_, rolled incrementally by
-  /// the same delta walks (O(changes · log n) per block/reorg step).
-  StateCommitment commitment_;
+  /// the same delta walks (O(changes · log n) per block/reorg step). Mutable
+  /// because const readers settle a held template first (drop_sealed).
+  mutable StateCommitment commitment_;
+  mutable std::optional<SealedTemplate> sealed_;
   Hash256 tip_at_;  ///< Block whose post-state tip_state_ currently equals.
   std::uint64_t snapshot_bytes_ = 0;  ///< Running approx bytes of all snapshots.
   /// Historic materializations built by state_of (value pointers are stable

@@ -56,6 +56,14 @@ bool validate_transaction(const Transaction& tx, SigCache* sig_cache,
   const SigVerdict sig = check_signature(tx, sig_cache);
   if (verdict) *verdict = sig;
   if (sig == SigVerdict::kInvalid) return fail("bad signature");
+  return validate_transaction_fields(tx, why);
+}
+
+bool validate_transaction_fields(const Transaction& tx, std::string* why) {
+  auto fail = [&](const char* msg) {
+    if (why) *why = msg;
+    return false;
+  };
   if (tx.gas_limit == 0) return fail("zero gas limit");
   if (tx.gas_price == 0) return fail("zero gas price");
   if (tx.kind == TxKind::kDeploy && tx.data.empty()) return fail("empty deploy code");

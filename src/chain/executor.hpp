@@ -74,6 +74,10 @@ bool validate_transaction(const Transaction& tx, SigCache* sig_cache,
                           std::string* why = nullptr,
                           SigVerdict* verdict = nullptr);
 
+/// The signature-independent half of validate_transaction (gas, deploy code,
+/// fee overflow) for callers that check the signature themselves.
+bool validate_transaction_fields(const Transaction& tx, std::string* why = nullptr);
+
 /// Block-environment values visible to contracts.
 struct BlockEnv {
   std::uint64_t number = 0;

@@ -4,8 +4,9 @@
 
 namespace sc::chain {
 
-Hash256 SigCache::key_of(const Transaction& tx) {
-  const Hash256 id = tx.id();
+Hash256 SigCache::key_of(const Transaction& tx) { return key_of(tx, tx.id()); }
+
+Hash256 SigCache::key_of(const Transaction& tx, const Hash256& id) {
   util::Bytes material;
   material.reserve(32 + 64 + 64);
   util::append(material, id.span());
@@ -29,8 +30,9 @@ void SigCache::insert(const Hash256& key) {
   }
 }
 
-SigVerdict SigCache::check(const Transaction& tx) {
-  const Hash256 key = key_of(tx);
+SigVerdict SigCache::check(const Transaction& tx) { return check(tx, key_of(tx)); }
+
+SigVerdict SigCache::check(const Transaction& tx, const Hash256& key) {
   {
     std::lock_guard lock(mutex_);
     if (keys_.contains(key)) {

@@ -43,6 +43,8 @@ class SigCache {
 
   /// Cache key: keccak(tx id || pubkey || signature).
   static Hash256 key_of(const Transaction& tx);
+  /// Same key from an already-computed `id` (== tx.id()).
+  static Hash256 key_of(const Transaction& tx, const Hash256& id);
 
   bool contains(const Hash256& key) const;
   /// Marks a key as verified (evicting the oldest entry when full).
@@ -51,6 +53,8 @@ class SigCache {
   /// Checks the cache, falling back to a full verification on miss; a fresh
   /// success is inserted so every later check of the same triple hits.
   SigVerdict check(const Transaction& tx);
+  /// Same check with the key already computed (== key_of(tx)).
+  SigVerdict check(const Transaction& tx, const Hash256& key);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }

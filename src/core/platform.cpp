@@ -39,6 +39,9 @@ Platform::Platform(PlatformConfig config)
         {detector_keys_[i].address(), config_.detectors[i].endowment});
   chain_ = std::make_unique<chain::Blockchain>(genesis, config_.telemetry);
   mempool_.set_telemetry(config_.telemetry);
+  // Admission and block validation share one verified-signature cache, so
+  // each transaction's signature is verified once.
+  mempool_.set_sig_cache(&chain_->sig_cache());
   mempool_.set_capacity(config_.mempool_capacity);
   // Trace events carry this platform's virtual time until ~Platform detaches
   // the clock (before sim_ is destroyed).

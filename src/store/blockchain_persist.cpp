@@ -83,6 +83,9 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
   if (store_) return fail(why, "already open");
   if (entries_.size() != 1 || best_head_ != genesis_id_)
     return fail(why, "open() requires a chain holding only genesis");
+  // Recovery rebuilds the commitment; a template sealed before open() must
+  // not outlive it.
+  drop_sealed();
 
   store::StoreOptions store_options;
   store_options.fsync = options.fsync;

@@ -252,5 +252,43 @@ TEST(Platform, ConfirmationLatencyHistogramPopulated) {
   EXPECT_TRUE(saw_confirmed_counter);
 }
 
+// Admission verifies through the chain's signature cache, so neither template
+// sealing nor block validation verifies an admitted transaction again: every
+// cache miss is one admission attempt, the template and the connect each hit
+// once per transaction, and no block-level batch verify finds work left.
+TEST(Platform, AdmissionSharesTheChainSignatureCache) {
+  telemetry::Telemetry tel;
+  PlatformConfig config = small_config(13);
+  config.telemetry = &tel;
+  Platform platform(std::move(config));
+  const chain::SigCache& cache = platform.blockchain().sig_cache();
+  platform.release_system(0, 1.0, 1000 * kEther, 10 * kEther);
+  EXPECT_EQ(cache.misses(), 1u);  // The SRA, verified once at admission.
+  platform.run_for(1200.0);
+
+  std::uint64_t admitted = 0, rejected = 0, batch_verified = 0;
+  for (const auto& family : tel.registry.snapshot()) {
+    for (const auto& series : family.series) {
+      if (!series.counter) continue;
+      if (family.name == "mempool_admitted_total") admitted += series.counter->value();
+      if (family.name == "mempool_rejected_total") {
+        // Lost first-reporter races: refused by the gate after a valid signature.
+        ASSERT_EQ(series.labels.at(0).second, "gate");
+        rejected += series.counter->value();
+      }
+      if (family.name == "chain_sig_batch_verified_total")
+        batch_verified += series.counter->value();
+    }
+  }
+  ASSERT_GT(admitted, 1u);
+  std::uint64_t mined = 0;
+  for (std::uint64_t h = 1; h <= platform.blockchain().best_height(); ++h)
+    mined += platform.blockchain().block_at(h)->transactions.size();
+  EXPECT_EQ(mined, admitted);
+  EXPECT_EQ(cache.misses(), admitted + rejected);
+  EXPECT_EQ(cache.hits(), 2 * admitted);
+  EXPECT_EQ(batch_verified, 0u);
+}
+
 }  // namespace
 }  // namespace sc::core
