@@ -302,8 +302,7 @@ class Explorer {
       result_.truncated = true;
       return;
     }
-    if (config_.merge_states && s.pc < jumpdests_.size() &&
-        jumpdests_[s.pc]) {
+    if (s.pc < jumpdests_.size() && jumpdests_[s.pc]) {
       for (State& pending : work_) {
         if (!mergeable(pending, s)) continue;
         ExprRef merged_pc =

@@ -41,8 +41,6 @@ struct SymexConfig {
   std::uint32_t max_steps_per_path = 4096;
   std::uint32_t max_states = 4096;        ///< Global fork-frontier bound.
   std::uint64_t time_budget_ms = 2000;    ///< Wall-clock budget; 0 = none.
-  bool merge_states = true;
-  SolverConfig solver;
 };
 
 /// How a symbolic path ended. Mirrors vm::Outcome where the VM has a

@@ -401,7 +401,7 @@ SymexReport check_contract(util::ByteSpan code, const ContractSpec& spec,
                            const SymexConfig& config,
                            telemetry::Telemetry* tel) {
   Env env;
-  Solver solver(env.pool(), config.solver);
+  Solver solver(env.pool());
   SymexReport report;
   report.exploration = explore(code, env, solver, config, tel);
   const ExploreResult& ex = report.exploration;
@@ -522,6 +522,16 @@ SymexReport check_contract(util::ByteSpan code, const ContractSpec& spec,
       .counter("analysis_symex_solver_queries_total",
                "Constraint-solver queries issued during symbolic analysis")
       .add(report.solver.queries + report.solver.quick_queries);
+  const auto count_decisions = [&](const char* query, const auto& by_layer) {
+    for (const auto& [layer, n] : by_layer)
+      registry
+          .counter("analysis_symex_solver_decisions_total",
+                   "Solver queries by the layer that decided them",
+                   {{"layer", layer}, {"query", query}})
+          .add(n);
+  };
+  count_decisions("check", report.solver.decisions);
+  count_decisions("quick", report.solver.quick_decisions);
   for (const RevertSite& site : report.reverts)
     registry
         .counter("analysis_symex_reverts_total",

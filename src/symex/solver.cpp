@@ -1,7 +1,6 @@
 #include "symex/solver.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -9,6 +8,10 @@
 namespace sc::symex {
 
 namespace {
+
+constexpr std::uint32_t kMaxFlips = 2048;     ///< Model-search iterations.
+constexpr unsigned kIntervalRounds = 4;       ///< Refinement fixpoint bound.
+constexpr std::uint64_t kSearchSeed = 0x5eedc0de;  ///< Model-search xorshift.
 
 // ---------------------------------------------------------------------------
 // Shared helpers.
@@ -399,12 +402,12 @@ struct IntervalCtx {
   }
 };
 
-/// Runs bounded interval fixpoint over the (normalized, substituted)
-/// literals. Returns kUnsat when a literal is interval-infeasible.
+/// Runs bounded interval fixpoint over the normalized literals. Returns
+/// kUnsat when a literal is interval-infeasible.
 SolveStatus interval_layer(const std::vector<Literal>& lits,
-                           const ExprPool& pool, unsigned rounds) {
+                           const ExprPool& pool) {
   IntervalCtx ctx{pool, {}, {}, false};
-  for (unsigned round = 0; round < rounds; ++round) {
+  for (unsigned round = 0; round < kIntervalRounds; ++round) {
     ctx.memo.clear();
     for (const Literal& lit : lits) {
       Interval iv = ctx.compute(lit.expr);
@@ -624,8 +627,7 @@ struct SearchOutcome {
 };
 
 SearchOutcome model_search(const std::vector<Literal>& original,
-                           const ExprPool& pool, const Assignment& seed,
-                           const SolverConfig& config, SolverStats& stats) {
+                           const ExprPool& pool, const Assignment& seed) {
   SearchOutcome out;
   if (original.empty()) {
     out.found = true;
@@ -652,13 +654,12 @@ SearchOutcome model_search(const std::vector<Literal>& original,
     }
   }
 
-  Rng rng{config.seed | 1};
+  Rng rng{kSearchSeed | 1};
   Assignment model = seed;
   std::size_t best = count_satisfied(original, model);
   const std::size_t want = original.size();
 
-  for (std::uint32_t flip = 0; flip < config.max_flips && best < want; ++flip) {
-    ++stats.flips;
+  for (std::uint32_t flip = 0; flip < kMaxFlips && best < want; ++flip) {
     // Pick an unsatisfied literal.
     BatchEval be(model);
     std::vector<const Literal*> unsat;
@@ -726,492 +727,19 @@ SearchOutcome model_search(const std::vector<Literal>& original,
 }
 
 // ---------------------------------------------------------------------------
-// Layer 5: bit-blasting + bounded DPLL.
-
-/// CNF literals are signed ints (±var). Var 1 is pinned TRUE, so +1 / -1
-/// double as the constants true / false.
-class Cnf {
- public:
-  explicit Cnf(std::uint32_t max_clauses) : max_clauses_(max_clauses) {
-    clauses_.push_back({1});  // Pin var 1 to TRUE.
-  }
-
-  int new_var() { return ++nvars_; }
-  bool overflowed() const { return overflow_; }
-  int nvars() const { return nvars_; }
-  const std::vector<std::vector<int>>& clauses() const { return clauses_; }
-
-  void add(std::vector<int> c) {
-    if (overflow_) return;
-    for (int l : c)
-      if (l == 1) return;  // Contains TRUE: trivially satisfied.
-    c.erase(std::remove(c.begin(), c.end(), -1), c.end());
-    if (c.empty()) {
-      unsat_ = true;
-      return;
-    }
-    clauses_.push_back(std::move(c));
-    if (clauses_.size() > max_clauses_) overflow_ = true;
-  }
-
-  bool trivially_unsat() const { return unsat_; }
-
-  int land(int a, int b) {
-    if (a == -1 || b == -1) return -1;
-    if (a == 1) return b;
-    if (b == 1) return a;
-    if (a == b) return a;
-    if (a == -b) return -1;
-    const int o = new_var();
-    add({-o, a});
-    add({-o, b});
-    add({o, -a, -b});
-    return o;
-  }
-
-  int lor(int a, int b) { return -land(-a, -b); }
-
-  int lxor(int a, int b) {
-    if (a == 1) return -b;
-    if (a == -1) return b;
-    if (b == 1) return -a;
-    if (b == -1) return a;
-    if (a == b) return -1;
-    if (a == -b) return 1;
-    const int o = new_var();
-    add({-o, a, b});
-    add({-o, -a, -b});
-    add({o, -a, b});
-    add({o, a, -b});
-    return o;
-  }
-
- private:
-  int nvars_ = 1;
-  std::uint32_t max_clauses_;
-  std::vector<std::vector<int>> clauses_;
-  bool overflow_ = false;
-  bool unsat_ = false;
-};
-
-using BitVec = std::vector<int>;  // 256 CNF literals, LSB first.
-
-class Blaster {
- public:
-  Blaster(const ExprPool& pool, Cnf& cnf) : pool_(pool), cnf_(cnf) {}
-
-  const BitVec& blast(ExprRef e) {
-    const auto it = memo_.find(e);
-    if (it != memo_.end()) return it->second;
-    BitVec bits = build(e);
-    return memo_.emplace(e, std::move(bits)).first->second;
-  }
-
-  /// Bit variables of each symex variable (for model extraction).
-  const std::unordered_map<std::uint32_t, BitVec>& var_bits() const {
-    return var_bits_;
-  }
-
- private:
-  BitVec const_bits(const U256& v) {
-    BitVec bits(256, -1);
-    for (unsigned i = 0; i < 256; ++i)
-      if (v.bit(i)) bits[i] = 1;
-    return bits;
-  }
-
-  BitVec fresh_bits(unsigned width) {
-    BitVec bits(256, -1);
-    for (unsigned i = 0; i < width && i < 256; ++i) bits[i] = cnf_.new_var();
-    return bits;
-  }
-
-  BitVec adder(const BitVec& a, const BitVec& b, int carry) {
-    BitVec out(256, -1);
-    for (unsigned i = 0; i < 256; ++i) {
-      const int axb = cnf_.lxor(a[i], b[i]);
-      out[i] = cnf_.lxor(axb, carry);
-      carry = cnf_.lor(cnf_.land(a[i], b[i]), cnf_.land(carry, axb));
-    }
-    return out;
-  }
-
-  /// Borrow-chain a < b (unsigned), optionally flipping the sign bits for
-  /// two's-complement order. Returns a single CNF literal.
-  int less_than(BitVec a, BitVec b, bool is_signed) {
-    if (is_signed) {
-      a[255] = -a[255];
-      b[255] = -b[255];
-    }
-    int lt = -1;
-    for (unsigned i = 0; i < 256; ++i) {
-      const int eq = -cnf_.lxor(a[i], b[i]);
-      lt = cnf_.lor(cnf_.land(-a[i], b[i]), cnf_.land(eq, lt));
-    }
-    return lt;
-  }
-
-  BitVec bool_bits(int lit) {
-    BitVec bits(256, -1);
-    bits[0] = lit;
-    return bits;
-  }
-
-  int or_tree(const BitVec& a) {
-    int acc = -1;
-    for (int bit : a) acc = cnf_.lor(acc, bit);
-    return acc;
-  }
-
-  BitVec build(ExprRef e) {
-    switch (e->kind) {
-      case ExprKind::kConst:
-        return const_bits(e->value);
-      case ExprKind::kVar: {
-        BitVec bits = fresh_bits(pool_.var_info(e->var).width);
-        var_bits_.emplace(e->var, bits);
-        return bits;
-      }
-      default:
-        break;
-    }
-    const BitVec& a = blast(e->a);
-    switch (e->kind) {
-      case ExprKind::kIsZero:
-        return bool_bits(-or_tree(a));
-      case ExprKind::kNot: {
-        BitVec out(256);
-        for (unsigned i = 0; i < 256; ++i) out[i] = -a[i];
-        return out;
-      }
-      default:
-        break;
-    }
-    const BitVec& b = blast(e->b);
-    switch (e->kind) {
-      case ExprKind::kAnd: {
-        BitVec out(256);
-        for (unsigned i = 0; i < 256; ++i) out[i] = cnf_.land(a[i], b[i]);
-        return out;
-      }
-      case ExprKind::kOr: {
-        BitVec out(256);
-        for (unsigned i = 0; i < 256; ++i) out[i] = cnf_.lor(a[i], b[i]);
-        return out;
-      }
-      case ExprKind::kXor: {
-        BitVec out(256);
-        for (unsigned i = 0; i < 256; ++i) out[i] = cnf_.lxor(a[i], b[i]);
-        return out;
-      }
-      case ExprKind::kAdd:
-        return adder(a, b, -1);
-      case ExprKind::kSub: {
-        BitVec nb(256);
-        for (unsigned i = 0; i < 256; ++i) nb[i] = -b[i];
-        return adder(a, nb, 1);
-      }
-      case ExprKind::kEq: {
-        int acc = 1;
-        for (unsigned i = 0; i < 256; ++i)
-          acc = cnf_.land(acc, -cnf_.lxor(a[i], b[i]));
-        return bool_bits(acc);
-      }
-      case ExprKind::kLt:
-        return bool_bits(less_than(a, b, false));
-      case ExprKind::kGt:
-        return bool_bits(less_than(b, a, false));
-      case ExprKind::kSLt:
-        return bool_bits(less_than(a, b, true));
-      case ExprKind::kSGt:
-        return bool_bits(less_than(b, a, true));
-      case ExprKind::kShl:
-        // Shift amount is operand `a`; rewiring needs it constant.
-        if (e->a->is_const()) {
-          BitVec out(256, -1);
-          if (e->a->value.bit_length() <= 9) {
-            const std::uint64_t c = e->a->value.low64();
-            for (unsigned i = 0; i < 256; ++i)
-              if (i >= c) out[i] = b[i - c];
-          }
-          return out;
-        }
-        return fresh_bits(256);
-      case ExprKind::kShr:
-        if (e->a->is_const()) {
-          BitVec out(256, -1);
-          if (e->a->value.bit_length() <= 9) {
-            const std::uint64_t c = e->a->value.low64();
-            for (unsigned i = 0; i + c < 256; ++i) out[i] = b[i + c];
-          }
-          return out;
-        }
-        return fresh_bits(256);
-      case ExprKind::kByte:
-        if (e->a->is_const()) {
-          BitVec out(256, -1);
-          if (e->a->value < U256{32}) {
-            const unsigned byte = 31 - static_cast<unsigned>(e->a->value.low64());
-            for (unsigned i = 0; i < 8; ++i) out[i] = b[byte * 8 + i];
-          }
-          return out;
-        }
-        return fresh_bits(256);
-      case ExprKind::kMul: {
-        // Shift-add only for a sparse constant operand; anything else would
-        // blow the clause budget, so over-approximate with fresh bits.
-        ExprRef cnode = e->a->is_const() ? e->a : (e->b->is_const() ? e->b : nullptr);
-        if (cnode) {
-          const BitVec& other = cnode == e->a ? b : a;
-          unsigned setbits = 0;
-          for (unsigned i = 0; i < 256; ++i)
-            if (cnode->value.bit(i)) ++setbits;
-          if (setbits <= 8) {
-            BitVec acc(256, -1);
-            for (unsigned i = 0; i < 256; ++i) {
-              if (!cnode->value.bit(i)) continue;
-              BitVec shifted(256, -1);
-              for (unsigned j = i; j < 256; ++j) shifted[j] = other[j - i];
-              acc = adder(acc, shifted, -1);
-            }
-            return acc;
-          }
-        }
-        return fresh_bits(256);
-      }
-      default:
-        // Div/Mod/SDiv/SMod/Exp/SignExtend/symbolic-index Byte: fresh bits.
-        // Sound over-approximation — hash-consing guarantees the same node
-        // maps to the same fresh bits, preserving functional consistency.
-        return fresh_bits(256);
-    }
-  }
-
-  const ExprPool& pool_;
-  Cnf& cnf_;
-  std::unordered_map<ExprRef, BitVec> memo_;
-  std::unordered_map<std::uint32_t, BitVec> var_bits_;
-};
-
-/// Chronological DPLL with two watched literals and a decision budget.
-/// Returns +1 SAT, -1 UNSAT, 0 budget exhausted.
-class Dpll {
- public:
-  Dpll(int nvars, const std::vector<std::vector<int>>& clauses)
-      : nvars_(nvars), clauses_(clauses) {
-    value_.assign(static_cast<std::size_t>(nvars_) + 1, 0);
-    watches_.assign(2 * (static_cast<std::size_t>(nvars_) + 1), {});
-    for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
-      const auto& c = clauses_[ci];
-      if (c.size() == 1) {
-        units_.push_back(c[0]);
-      } else {
-        watches_[code(c[0])].push_back(ci);
-        watches_[code(c[1])].push_back(ci);
-      }
-    }
-  }
-
-  int solve(std::uint32_t max_decisions, std::uint64_t& decisions) {
-    for (int u : units_)
-      if (!enqueue(u)) return -1;
-    if (!propagate()) return -1;
-    int scan_from = 2;  // Var 1 is the pinned TRUE constant.
-    while (true) {
-      int var = next_unassigned(scan_from);
-      if (var == 0) return 1;  // All assigned, no conflict: SAT.
-      if (decisions++ >= max_decisions) return 0;
-      levels_.push_back({trail_.size(), var, false});
-      enqueue(-var);  // Phase: try FALSE first (zeros make minimal models).
-      while (!propagate()) {
-        // Conflict: backtrack chronologically to the last unflipped level.
-        while (!levels_.empty() && levels_.back().flipped) {
-          undo_to(levels_.back().trail_pos);
-          levels_.pop_back();
-        }
-        if (levels_.empty()) return -1;
-        Level& lvl = levels_.back();
-        undo_to(lvl.trail_pos);
-        lvl.flipped = true;
-        enqueue(lvl.var);
-      }
-      scan_from = var + 1;
-      if (!levels_.empty()) scan_from = levels_.back().var + 1;
-    }
-  }
-
-  bool value_of(int var) const { return value_[static_cast<std::size_t>(var)] > 0; }
-
- private:
-  struct Level {
-    std::size_t trail_pos;
-    int var;
-    bool flipped;
-  };
-
-  static std::size_t code(int lit) {
-    return 2 * static_cast<std::size_t>(std::abs(lit)) + (lit < 0 ? 1 : 0);
-  }
-
-  int lit_value(int lit) const {
-    const int v = value_[static_cast<std::size_t>(std::abs(lit))];
-    return lit > 0 ? v : -v;
-  }
-
-  bool enqueue(int lit) {
-    const int v = lit_value(lit);
-    if (v > 0) return true;
-    if (v < 0) return false;
-    value_[static_cast<std::size_t>(std::abs(lit))] =
-        static_cast<std::int8_t>(lit > 0 ? 1 : -1);
-    trail_.push_back(lit);
-    return true;
-  }
-
-  void undo_to(std::size_t pos) {
-    while (trail_.size() > pos) {
-      value_[static_cast<std::size_t>(std::abs(trail_.back()))] = 0;
-      trail_.pop_back();
-    }
-    qhead_ = pos;
-  }
-
-  bool propagate() {
-    while (qhead_ < trail_.size()) {
-      const int p = trail_[qhead_++];
-      auto& watch = watches_[code(-p)];  // Clauses watching the falsified lit.
-      std::size_t keep = 0;
-      bool conflict = false;
-      for (std::size_t wi = 0; wi < watch.size(); ++wi) {
-        const std::size_t ci = watch[wi];
-        auto& c = clauses_mut(ci);
-        // Ensure the falsified literal sits at position 1.
-        if (c[0] == -p) std::swap(c[0], c[1]);
-        if (lit_value(c[0]) > 0) {
-          watch[keep++] = ci;
-          continue;
-        }
-        // Look for a replacement watch.
-        bool moved = false;
-        for (std::size_t k = 2; k < c.size(); ++k) {
-          if (lit_value(c[k]) >= 0) {
-            std::swap(c[1], c[k]);
-            watches_[code(c[1])].push_back(ci);
-            moved = true;
-            break;
-          }
-        }
-        if (moved) continue;
-        watch[keep++] = ci;
-        if (!enqueue(c[0])) {
-          // Conflict: retain remaining watches and fail.
-          for (std::size_t rest = wi + 1; rest < watch.size(); ++rest)
-            watch[keep++] = watch[rest];
-          conflict = true;
-          break;
-        }
-      }
-      watch.resize(keep);
-      if (conflict) return false;
-    }
-    return true;
-  }
-
-  int next_unassigned(int from) {
-    for (int v = std::max(from, 2); v <= nvars_; ++v)
-      if (value_[static_cast<std::size_t>(v)] == 0) return v;
-    // The scan hint can overshoot vars unassigned by backtracking; fall back
-    // to a full scan before declaring everything assigned.
-    for (int v = 2; v <= nvars_; ++v)
-      if (value_[static_cast<std::size_t>(v)] == 0) return v;
-    return 0;
-  }
-
-  std::vector<int>& clauses_mut(std::size_t ci) { return mutable_[ci]; }
-
- public:
-  /// The watched-literal scheme reorders clause literals, so the solver works
-  /// on its own copy.
-  void copy_clauses() { mutable_ = clauses_; }
-
- private:
-  int nvars_;
-  const std::vector<std::vector<int>>& clauses_;
-  std::vector<std::vector<int>> mutable_;
-  std::vector<std::int8_t> value_;
-  std::vector<std::vector<std::size_t>> watches_;
-  std::vector<int> trail_;
-  std::size_t qhead_ = 0;
-  std::vector<int> units_;
-  std::vector<Level> levels_;
-};
-
-struct BlastOutcome {
-  SolveStatus status = SolveStatus::kUnknown;
-  Assignment model;
-};
-
-BlastOutcome blast_check(const std::vector<Literal>& norm,
-                         const ExprPool& pool, const SolverConfig& config,
-                         SolverStats& stats) {
-  BlastOutcome out;
-  ++stats.blasts;
-  Cnf cnf(config.max_blast_clauses);
-  Blaster blaster(pool, cnf);
-  for (const Literal& lit : norm) {
-    const BitVec& bits = blaster.blast(lit.expr);
-    if (lit.truthy) {
-      std::vector<int> clause(bits.begin(), bits.end());
-      cnf.add(std::move(clause));
-    } else {
-      for (int bit : bits) cnf.add({-bit});
-    }
-    if (cnf.overflowed()) return out;  // kUnknown: budget blown.
-  }
-  if (cnf.trivially_unsat()) {
-    out.status = SolveStatus::kUnsat;
-    return out;
-  }
-  if (cnf.overflowed()) return out;
-
-  Dpll dpll(cnf.nvars(), cnf.clauses());
-  dpll.copy_clauses();
-  const int verdict = dpll.solve(config.max_decisions, stats.dpll_decisions);
-  if (verdict < 0) {
-    // UNSAT of the (over-approximated) CNF is sound for the original set.
-    out.status = SolveStatus::kUnsat;
-    return out;
-  }
-  if (verdict == 0) return out;  // Budget exhausted.
-
-  // SAT: extract per-variable words and hand back for validation — the
-  // abstraction (fresh bits for hard operators) may admit spurious models.
-  for (const auto& [var, bits] : blaster.var_bits()) {
-    U256 v = U256::zero();
-    for (unsigned i = 0; i < 256; ++i)
-      if (bits[i] != -1 && bits[i] != 1 && dpll.value_of(std::abs(bits[i])) == (bits[i] > 0))
-        v = v | (U256::one() << i);
-    out.model.values[var] = v;
-  }
-  out.status = SolveStatus::kSat;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Cheap-layer driver shared by check() and quick_check().
 
 struct CheapOutcome {
   SolveStatus status = SolveStatus::kUnknown;
   const char* method = "";
-  std::vector<Literal> norm;          ///< Normalized + substituted literals.
   Assignment pinned;                  ///< Variables pinned by equalities.
 };
 
-CheapOutcome run_cheap(const std::vector<Literal>& constraints, ExprPool& pool,
-                       const SolverConfig& config) {
+CheapOutcome run_cheap(const std::vector<Literal>& constraints,
+                       ExprPool& pool) {
   CheapOutcome out;
   bool contradiction = false;
-  out.norm = normalize(constraints, contradiction);
+  const std::vector<Literal> norm = normalize(constraints, contradiction);
   if (contradiction) {
     out.status = SolveStatus::kUnsat;
     out.method = "fold";
@@ -1222,11 +750,11 @@ CheapOutcome run_cheap(const std::vector<Literal>& constraints, ExprPool& pool,
   // Substitution replaces a pinned term with its constant everywhere — which
   // turns the very literal that created the pin into a tautology (a truthy
   // Lt(x,5) merges with 1 and folds away; Eq(And(x,3),1) pins And(x,3) and
-  // collapses to Eq(1,1)). Handing that weakened set to the interval and
-  // bit-blasting layers silently drops constraints, so the scratch copy is
-  // used only to surface contradictions and harvest pinned variables, while
-  // `out.norm` keeps the full pre-substitution set for the later layers.
-  std::vector<Literal> scratch = out.norm;
+  // collapses to Eq(1,1)). Handing that weakened set to the interval layer
+  // silently drops constraints, so the scratch copy is used only to surface
+  // contradictions and harvest pinned variables, while `norm` keeps the full
+  // pre-substitution set for the interval layer.
+  std::vector<Literal> scratch = norm;
   for (int round = 0; round < 2; ++round) {
     EqualityResult eq = equality_layer(scratch, pool);
     if (eq.contradiction) {
@@ -1270,25 +798,18 @@ CheapOutcome run_cheap(const std::vector<Literal>& constraints, ExprPool& pool,
     if (!changed) break;
   }
 
-  const SolveStatus iv =
-      interval_layer(out.norm, pool, config.interval_rounds);
-  if (iv == SolveStatus::kUnsat) {
+  if (interval_layer(norm, pool) == SolveStatus::kUnsat) {
     out.status = SolveStatus::kUnsat;
     out.method = "interval";
-    return out;
   }
   return out;
 }
 
-}  // namespace
-
-SolveResult Solver::check(const std::vector<Literal>& constraints) {
-  ++stats_.queries;
+/// Layers 1-4 in order; the first that decides names itself in `method`.
+SolveResult decide(const std::vector<Literal>& constraints, ExprPool& pool) {
   SolveResult result;
-
-  CheapOutcome cheap = run_cheap(constraints, pool_, config_);
+  CheapOutcome cheap = run_cheap(constraints, pool);
   if (cheap.status == SolveStatus::kUnsat) {
-    ++stats_.unsat;
     result.status = SolveStatus::kUnsat;
     result.method = cheap.method;
     return result;
@@ -1296,68 +817,45 @@ SolveResult Solver::check(const std::vector<Literal>& constraints) {
 
   // Maybe the pinned assignment alone already satisfies everything.
   if (count_satisfied(constraints, cheap.pinned) == constraints.size()) {
-    ++stats_.sat;
     result.status = SolveStatus::kSat;
     result.model = std::move(cheap.pinned);
     result.method = "equality";
     return result;
   }
 
-  SearchOutcome search =
-      model_search(constraints, pool_, cheap.pinned, config_, stats_);
+  SearchOutcome search = model_search(constraints, pool, cheap.pinned);
   if (search.found) {
-    ++stats_.sat;
     result.status = SolveStatus::kSat;
     result.model = std::move(search.model);
     result.method = "search";
     return result;
   }
 
-  if (config_.enable_blast) {
-    BlastOutcome blast = blast_check(cheap.norm, pool_, config_, stats_);
-    if (blast.status == SolveStatus::kUnsat) {
-      ++stats_.unsat;
-      result.status = SolveStatus::kUnsat;
-      result.method = "blast";
-      return result;
-    }
-    if (blast.status == SolveStatus::kSat) {
-      // Validate against the ORIGINAL constraints — the CNF abstracted hard
-      // operators with fresh bits, so the model may be spurious.
-      if (count_satisfied(constraints, blast.model) == constraints.size()) {
-        ++stats_.sat;
-        result.status = SolveStatus::kSat;
-        result.model = std::move(blast.model);
-        result.method = "blast";
-        return result;
-      }
-      // Spurious model: one more (cheap) search pass seeded from it.
-      SolverConfig retry = config_;
-      retry.max_flips = config_.max_flips / 4;
-      SearchOutcome second =
-          model_search(constraints, pool_, blast.model, retry, stats_);
-      if (second.found) {
-        ++stats_.sat;
-        result.status = SolveStatus::kSat;
-        result.model = std::move(second.model);
-        result.method = "blast+search";
-        return result;
-      }
-    }
-  }
-
-  ++stats_.unknown;
   result.status = SolveStatus::kUnknown;
   result.method = "budget";
   return result;
 }
 
+}  // namespace
+
+SolveResult Solver::check(const std::vector<Literal>& constraints) {
+  ++stats_.queries;
+  SolveResult result = decide(constraints, pool_);
+  ++stats_.decisions[result.method];
+  return result;
+}
+
 SolveStatus Solver::quick_check(const std::vector<Literal>& constraints) {
   ++stats_.quick_queries;
-  CheapOutcome cheap = run_cheap(constraints, pool_, config_);
-  if (cheap.status == SolveStatus::kUnsat) return SolveStatus::kUnsat;
-  if (count_satisfied(constraints, cheap.pinned) == constraints.size())
+  CheapOutcome cheap = run_cheap(constraints, pool_);
+  if (cheap.status == SolveStatus::kUnsat) {
+    ++stats_.quick_decisions[cheap.method];
+    return SolveStatus::kUnsat;
+  }
+  if (count_satisfied(constraints, cheap.pinned) == constraints.size()) {
+    ++stats_.quick_decisions["equality"];
     return SolveStatus::kSat;
+  }
   return SolveStatus::kUnknown;
 }
 

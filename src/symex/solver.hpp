@@ -21,18 +21,18 @@
 //      inverting Eq/Add/Sub/Xor/Shl/Shr/... toward a target value. A model
 //      that satisfies every original literal under exact VM evaluation is a
 //      definitive SAT.
-//   5. Bit-blasting fallback: Tseitin CNF over 256-bit vectors (ripple
-//      adders, borrow-chain comparisons, constant-shift rewiring) solved by a
-//      bounded DPLL with two watched literals. Operators that would blow the
-//      clause budget (symbolic mul/div/mod/exp/...) become fresh unconstrained
-//      bits, which over-approximates: UNSAT here is sound; a SAT assignment
-//      is re-validated concretely and demoted to kUnknown on mismatch.
+//
+// A query no layer decides is kUnknown with method "budget" — never a guess.
+// SolverStats counts the decisions per layer; check_contract exports them as
+// analysis_symex_solver_decisions_total{layer,query}.
 //
 // Everything is deterministic (seeded xorshift) so solver verdicts — and the
 // counterexamples built from them — are reproducible across runs.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "symex/expr.hpp"
@@ -41,36 +41,26 @@ namespace sc::symex {
 
 enum class SolveStatus : std::uint8_t { kSat, kUnsat, kUnknown };
 
-struct SolverConfig {
-  std::uint32_t max_flips = 2048;        ///< Model-search iterations.
-  std::uint32_t interval_rounds = 4;     ///< Refinement fixpoint bound.
-  std::uint32_t max_blast_clauses = 400000;
-  std::uint32_t max_decisions = 100000;  ///< DPLL decision budget.
-  bool enable_blast = true;
-  std::uint64_t seed = 0x5eedc0de;
-};
-
 struct SolveResult {
   SolveStatus status = SolveStatus::kUnknown;
   Assignment model;          ///< Populated when status == kSat.
-  const char* method = "";   ///< Which layer decided ("fold", "interval", ...).
+  /// Which layer decided: "fold", "equality", "interval", "search", or
+  /// "budget" when none did.
+  const char* method = "";
 };
 
 struct SolverStats {
-  std::uint64_t queries = 0;
-  std::uint64_t quick_queries = 0;
-  std::uint64_t sat = 0;
-  std::uint64_t unsat = 0;
-  std::uint64_t unknown = 0;
-  std::uint64_t blasts = 0;
-  std::uint64_t flips = 0;
-  std::uint64_t dpll_decisions = 0;
+  std::uint64_t queries = 0;        ///< check() calls.
+  std::uint64_t quick_queries = 0;  ///< quick_check() calls.
+  /// check() calls by SolveResult::method, "budget" included.
+  std::map<std::string, std::uint64_t> decisions;
+  /// quick_check() calls a layer decided, by the same method names.
+  std::map<std::string, std::uint64_t> quick_decisions;
 };
 
 class Solver {
  public:
-  explicit Solver(ExprPool& pool, SolverConfig config = {})
-      : pool_(pool), config_(config) {}
+  explicit Solver(ExprPool& pool) : pool_(pool) {}
 
   /// Full pipeline. kSat results carry a model that satisfies every literal
   /// under exact VM evaluation (already validated).
@@ -85,7 +75,6 @@ class Solver {
 
  private:
   ExprPool& pool_;
-  SolverConfig config_;
   SolverStats stats_;
 };
 

@@ -10,6 +10,7 @@
 #include "symex/explore.hpp"
 #include "symex/properties.hpp"
 #include "symex/solver.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "vm/assembler.hpp"
 
@@ -74,20 +75,22 @@ TEST(SymexSolver, IntervalsRefuteImpossibleBounds) {
   EXPECT_EQ(r.status, SolveStatus::kUnsat);
 }
 
-TEST(SymexSolver, BitBlastRefutesParityConflict) {
+TEST(SymexSolver, UndecidedParityConflictIsUnknownNeverSat) {
   ExprPool pool;
   Solver solver(pool);
   ExprRef x = pool.make_var(VarOrigin::kHavoc, "x", 8);
   // (x & 3) == 1 forces bit0 = 1, but (x & 1) == 0 forces bit0 = 0. No
-  // cheaper layer sees through the masks; only the CNF bit-blast refutes it.
+  // layer sees through the masks, so the last fallback must give up soundly:
+  // kUnknown from the search budget, never a SAT model.
   SolveResult r = solver.check({
       {pool.eq(pool.binary(ExprKind::kAnd, x, pool.constant_u64(3)),
                pool.one()),
        true},
       {pool.binary(ExprKind::kAnd, x, pool.one()), false},
   });
-  EXPECT_EQ(r.status, SolveStatus::kUnsat);
-  EXPECT_GE(solver.stats().blasts, 1u);
+  EXPECT_EQ(r.status, SolveStatus::kUnknown);
+  EXPECT_STREQ(r.method, "budget");
+  EXPECT_EQ(solver.stats().decisions.at("budget"), 1u);
 }
 
 TEST(SymexSolver, FindsMaskedModel) {
@@ -109,7 +112,7 @@ ExploreResult explore_asm(const std::string& src, Env& env,
                           const SymexConfig& config = {}) {
   const vm::AssembleResult assembled = vm::assemble(src);
   EXPECT_TRUE(assembled.ok()) << (assembled.ok() ? "" : assembled.error->message);
-  Solver solver(env.pool(), config.solver);
+  Solver solver(env.pool());
   return explore(assembled.code, env, solver, config);
 }
 
@@ -177,8 +180,44 @@ out:
 
 // ---- SmartCrowd goldens ----------------------------------------------------
 
+std::uint64_t decisions_exported(const telemetry::Telemetry& tel,
+                                 const std::string& layer,
+                                 const std::string& query) {
+  std::uint64_t total = 0;
+  for (const auto& fam : tel.registry.snapshot()) {
+    if (fam.name != "analysis_symex_solver_decisions_total") continue;
+    for (const auto& series : fam.series)
+      if (series.labels == telemetry::Labels{{"layer", layer}, {"query", query}})
+        total += series.counter->value();
+  }
+  return total;
+}
+
+/// Golden for real contracts: every check() is decided by some layer, none
+/// runs out of search budget, and the export carries the same counts.
+void expect_every_query_decided(const SymexReport& report,
+                                const telemetry::Telemetry& tel,
+                                const std::string& name) {
+  const SolverStats& stats = report.solver;
+  EXPECT_EQ(stats.decisions.count("budget"), 0u) << name;
+  std::uint64_t checks = 0;
+  for (const auto& [layer, n] : stats.decisions) {
+    checks += n;
+    EXPECT_EQ(decisions_exported(tel, layer, "check"), n) << name << " " << layer;
+  }
+  EXPECT_EQ(checks, stats.queries) << name;
+  std::uint64_t quick = 0;
+  for (const auto& [layer, n] : stats.quick_decisions) {
+    quick += n;
+    EXPECT_EQ(decisions_exported(tel, layer, "quick"), n) << name << " " << layer;
+  }
+  EXPECT_LE(quick, stats.quick_queries) << name;
+}
+
 TEST(SymexSmartCrowd, ProvesEconomicInvariantsWithinBounds) {
-  const SymexReport report = check_contract(contracts::contract_bytecode());
+  telemetry::Telemetry tel;
+  const SymexReport report =
+      check_contract(contracts::contract_bytecode(), {}, {}, &tel);
   // The metadata copy loop forces loop-bound truncation, so the strongest
   // honest claim is the bounded one — never kProved, never kUnknown.
   EXPECT_EQ(report.escrow.verdict, PropertyVerdict::kProvedBounded)
@@ -187,6 +226,7 @@ TEST(SymexSmartCrowd, ProvesEconomicInvariantsWithinBounds) {
       << report.payout.detail;
   EXPECT_TRUE(report.ok());
   EXPECT_FALSE(report.has_unknown());
+  expect_every_query_decided(report, tel, "smartcrowd");
 }
 
 TEST(SymexSmartCrowd, EveryRevertSiteReachableWithReplayedWitness) {
@@ -209,7 +249,9 @@ TEST(SymexCorpus, RefutesEveryBrokenContractWithReplayedWitness) {
   for (const CorpusEntry& entry : adversarial_corpus()) {
     const vm::AssembleResult assembled = vm::assemble(entry.source);
     ASSERT_TRUE(assembled.ok()) << entry.name;
-    const SymexReport report = check_contract(assembled.code);
+    telemetry::Telemetry tel;
+    const SymexReport report = check_contract(assembled.code, {}, {}, &tel);
+    expect_every_query_decided(report, tel, entry.name);
 
     EXPECT_EQ(report.escrow.verdict, entry.expect_escrow)
         << entry.name << ": " << report.escrow.detail;
