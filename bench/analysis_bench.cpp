@@ -9,9 +9,8 @@
 // symex budget knobs bound) plus wall-clock per full check, so a config or
 // solver regression shows up as a rate drop in BENCH_analysis.json.
 //
-// Flags:
-//   --runs=small|full|<reps>   repetitions per target (small ≈ CI smoke)
-//   --out=PATH                 JSON output (default BENCH_analysis.json)
+// Flags (bench_util.hpp): --runs=small|full|<reps> sets the repetitions per
+// target; --out=PATH.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -64,15 +63,8 @@ SymexRow bench_symex(const std::string& target, const util::Bytes& code,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = bench::flag_str(argc, argv, "runs", "full");
-  const std::string out_path =
-      bench::flag_str(argc, argv, "out", "BENCH_analysis.json");
-  std::uint64_t reps = 200;
-  if (runs == "small") {
-    reps = 20;
-  } else if (runs != "full") {
-    reps = bench::flag_u64(argc, argv, "runs", reps);
-  }
+  bench::BenchRun run(argc, argv, "analysis");
+  const std::uint64_t reps = run.size(20, 200);
 
   bench::header("static analysis + symbolic execution throughput");
 
@@ -107,32 +99,22 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.solver_queries), r.us_per_check,
         r.paths_per_s, r.queries_per_s);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"analysis_bench/v1\",\n");
-  std::fprintf(f,
-               "  \"static\": {\"target\": \"smartcrowd\", \"reps\": %llu, "
-               "\"blocks\": %zu, \"us_per_analysis\": %.3f},\n",
-               static_cast<unsigned long long>(reps), blocks, static_us);
-  std::fprintf(f, "  \"symex\": [\n");
+  run.results("    \"static\": {\"target\": \"smartcrowd\", \"reps\": %llu, "
+              "\"blocks\": %zu, \"us_per_analysis\": %.3f},\n",
+              static_cast<unsigned long long>(reps), blocks, static_us);
+  run.results("    \"symex\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SymexRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"target\": \"%s\", \"reps\": %llu, \"paths\": %llu, "
-                 "\"solver_queries\": %llu,\n"
-                 "     \"us_per_check\": %.3f, \"paths_per_s\": %.1f, "
-                 "\"queries_per_s\": %.1f}%s\n",
-                 r.target.c_str(), static_cast<unsigned long long>(r.reps),
-                 static_cast<unsigned long long>(r.paths),
-                 static_cast<unsigned long long>(r.solver_queries),
-                 r.us_per_check, r.paths_per_s, r.queries_per_s,
-                 i + 1 < rows.size() ? "," : "");
+    run.results("      {\"target\": \"%s\", \"reps\": %llu, \"paths\": %llu, "
+                "\"solver_queries\": %llu,\n"
+                "       \"us_per_check\": %.3f, \"paths_per_s\": %.1f, "
+                "\"queries_per_s\": %.1f}%s\n",
+                r.target.c_str(), static_cast<unsigned long long>(r.reps),
+                static_cast<unsigned long long>(r.paths),
+                static_cast<unsigned long long>(r.solver_queries),
+                r.us_per_check, r.paths_per_s, r.queries_per_s,
+                i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  run.results("    ]");
+  return run.write();
 }

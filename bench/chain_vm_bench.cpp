@@ -1,9 +1,10 @@
 // Microbenchmarks for the chain executor and the SCVM (google-benchmark).
+// Only rows no other harness measures live here: signing and verification
+// are crypto_bench's, PoW is pow_bench's, and block connect is perfbench's
+// chain.connect_ms_p50.
 #include <benchmark/benchmark.h>
 
-#include "chain/blockchain.hpp"
 #include "chain/executor.hpp"
-#include "chain/pow.hpp"
 #include "contracts/smartcrowd_contract.hpp"
 #include "core/messages.hpp"
 #include "crypto/sha256.hpp"
@@ -19,30 +20,6 @@ crypto::KeyPair key(std::uint64_t seed) {
   util::Rng rng(seed);
   return crypto::KeyPair::generate(rng);
 }
-
-void BM_TransactionSignAndVerify(benchmark::State& state) {
-  const auto k = key(1);
-  chain::Transaction tx;
-  tx.kind = chain::TxKind::kTransfer;
-  tx.to = key(2).address();
-  tx.value = 100;
-  tx.gas_limit = 21000;
-  for (auto _ : state) {
-    tx.sign_with(k);
-    benchmark::DoNotOptimize(tx.verify_signature());
-  }
-}
-BENCHMARK(BM_TransactionSignAndVerify);
-
-void BM_PowMineDifficulty(benchmark::State& state) {
-  chain::BlockHeader header;
-  header.difficulty = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    header.timestamp++;  // vary the preimage
-    benchmark::DoNotOptimize(chain::mine(header, 1 << 22));
-  }
-}
-BENCHMARK(BM_PowMineDifficulty)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ExecutorTransfer(benchmark::State& state) {
   const auto alice = key(3);
@@ -154,33 +131,6 @@ void BM_Algorithm1Verification(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Algorithm1Verification);
-
-void BM_BlockValidationAndConnect(benchmark::State& state) {
-  const auto miner = key(10);
-  const auto alice = key(11);
-  for (auto _ : state) {
-    state.PauseTiming();
-    chain::Blockchain bc(
-        chain::GenesisConfig{{{alice.address(), 1000 * kEther}}, 0, 1});
-    std::vector<chain::Transaction> txs;
-    for (std::uint64_t i = 0; i < 20; ++i) {
-      chain::Transaction tx;
-      tx.kind = chain::TxKind::kTransfer;
-      tx.nonce = i;
-      tx.to = miner.address();
-      tx.value = 1;
-      tx.gas_limit = 21000;
-      tx.sign_with(alice);
-      txs.push_back(tx);
-    }
-    chain::Block block = bc.build_block_template(miner.address(), 1, 1, txs);
-    block.header.nonce = *chain::mine(block.header, 1000);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(bc.submit_block(block));
-  }
-  state.SetItemsProcessed(state.iterations() * 20);
-}
-BENCHMARK(BM_BlockValidationAndConnect);
 
 }  // namespace
 

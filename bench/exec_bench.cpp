@@ -23,9 +23,8 @@
 // Results print as tables and persist to BENCH_exec.json (schema in
 // EXPERIMENTS.md).
 //
-// Flags:
-//   --runs=small|full   small ≈ CI smoke (10^3 accounts, small block)
-//   --out=PATH          JSON output path (default BENCH_exec.json)
+// Flags (bench_util.hpp): --runs=small uses 10^3 accounts and a 64-tx block;
+// --out=PATH.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -188,11 +187,8 @@ std::vector<SigBatchResult> run_sig_batch(const std::vector<chain::Transaction>&
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = sc::bench::flag_str(argc, argv, "runs", "full");
-  const std::string out_path =
-      sc::bench::flag_str(argc, argv, "out", "BENCH_exec.json");
-
-  const bool small = runs == "small";
+  sc::bench::BenchRun run(argc, argv, "exec");
+  const bool small = run.small();
   const std::uint64_t accounts = small ? 1'000 : 100'000;
   const std::size_t block_txs = small ? 64 : 512;
   const int reps = small ? 2 : 5;
@@ -266,39 +262,29 @@ int main(int argc, char** argv) {
   for (const SigBatchResult& r : sig_batch)
     std::printf("%-8u %12.2f %8.2fx\n", r.threads, r.us_per_sig, r.speedup);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"exec_bench/v1\",\n");
-  std::fprintf(f, "  \"accounts\": %llu,\n  \"block_txs\": %zu,\n",
-               static_cast<unsigned long long>(accounts), block_txs);
-  std::fprintf(f, "  \"workloads\": [\n");
+  run.results("    \"accounts\": %llu,\n    \"block_txs\": %zu,\n",
+              static_cast<unsigned long long>(accounts), block_txs);
+  run.results("    \"workloads\": [\n");
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const WorkloadResult& w = workloads[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"conflicts\": %llu, \"threads\": [\n",
-                 w.name.c_str(), static_cast<unsigned long long>(w.conflicts));
+    run.results("      {\"name\": \"%s\", \"conflicts\": %llu, \"threads\": [\n",
+                w.name.c_str(), static_cast<unsigned long long>(w.conflicts));
     for (std::size_t t = 0; t < w.threads.size(); ++t) {
       const ThreadResult& tr = w.threads[t];
-      std::fprintf(f,
-                   "      {\"threads\": %u, \"block_ms\": %.3f, "
-                   "\"txs_per_s\": %.0f, \"speedup\": %.3f}%s\n",
-                   tr.threads, tr.block_ms, tr.txs_per_s, tr.speedup,
-                   t + 1 < w.threads.size() ? "," : "");
+      run.results("        {\"threads\": %u, \"block_ms\": %.3f, "
+                  "\"txs_per_s\": %.0f, \"speedup\": %.3f}%s\n",
+                  tr.threads, tr.block_ms, tr.txs_per_s, tr.speedup,
+                  t + 1 < w.threads.size() ? "," : "");
     }
-    std::fprintf(f, "    ]}%s\n", i + 1 < workloads.size() ? "," : "");
+    run.results("      ]}%s\n", i + 1 < workloads.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"sig_batch\": [\n");
+  run.results("    ],\n    \"sig_batch\": [\n");
   for (std::size_t i = 0; i < sig_batch.size(); ++i) {
     const SigBatchResult& r = sig_batch[i];
-    std::fprintf(f,
-                 "    {\"threads\": %u, \"us_per_sig\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.threads, r.us_per_sig, r.speedup,
-                 i + 1 < sig_batch.size() ? "," : "");
+    run.results("      {\"threads\": %u, \"us_per_sig\": %.3f, \"speedup\": %.3f}%s\n",
+                r.threads, r.us_per_sig, r.speedup,
+                i + 1 < sig_batch.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  run.results("    ]");
+  return run.write();
 }

@@ -7,15 +7,11 @@
 // and persist to BENCH_pow.json (schema documented in EXPERIMENTS.md) so the
 // repo's perf trajectory is comparable across PRs.
 //
-// Flags:
-//   --runs=small|full|<attempts>   grind size (small ≈ CI smoke, default full)
-//   --threads=N                    worker count for the parallel row
-//                                  (default: hardware_concurrency)
-//   --out=PATH                     JSON output path (default BENCH_pow.json)
+// Flags: --runs=small|full|<attempts> and --out=PATH (bench_util.hpp), plus
+//   --threads=N   worker count for the parallel row (default: hardware threads)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,21 +82,11 @@ double parallel_hps(const chain::BlockHeader& header, std::uint64_t attempts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = sc::bench::flag_str(argc, argv, "runs", "full");
-  std::uint64_t attempts;
-  if (runs == "small") {
-    attempts = 50'000;
-  } else if (runs == "full") {
-    attempts = 2'000'000;
-  } else {
-    attempts = std::strtoull(runs.c_str(), nullptr, 10);
-    if (attempts == 0) attempts = 2'000'000;
-  }
+  sc::bench::BenchRun run(argc, argv, "pow");
+  const std::uint64_t attempts = run.size(50'000, 2'000'000);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned threads = std::max(
       1u, static_cast<unsigned>(sc::bench::flag_u64(argc, argv, "threads", hw)));
-  const std::string out_path =
-      sc::bench::flag_str(argc, argv, "out", "BENCH_pow.json");
 
   const chain::BlockHeader header = bench_header();
 
@@ -134,28 +120,19 @@ int main(int argc, char** argv) {
   for (const auto& [t, hps] : sweep)
     std::printf("  %2u thread(s): %14.0f h/s  (%.2fx)\n", t, hps, hps / midstate);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"pow_bench/v1\",\n");
-  std::fprintf(f, "  \"attempts\": %llu,\n",
-               static_cast<unsigned long long>(attempts));
-  std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
-  std::fprintf(f, "  \"naive_hps\": %.1f,\n", naive);
-  std::fprintf(f, "  \"midstate_hps\": %.1f,\n", midstate);
-  std::fprintf(f, "  \"midstate_speedup\": %.3f,\n", midstate / naive);
-  std::fprintf(f, "  \"parallel_threads\": %u,\n", threads);
-  std::fprintf(f, "  \"parallel_hps\": %.1f,\n", parallel);
-  std::fprintf(f, "  \"parallel_speedup_vs_naive\": %.3f,\n", parallel / naive);
-  std::fprintf(f, "  \"thread_sweep\": [");
+  run.results("    \"attempts\": %llu,\n",
+              static_cast<unsigned long long>(attempts));
+  run.results("    \"hardware_threads\": %u,\n", hw);
+  run.results("    \"naive_hps\": %.1f,\n", naive);
+  run.results("    \"midstate_hps\": %.1f,\n", midstate);
+  run.results("    \"midstate_speedup\": %.3f,\n", midstate / naive);
+  run.results("    \"parallel_threads\": %u,\n", threads);
+  run.results("    \"parallel_hps\": %.1f,\n", parallel);
+  run.results("    \"parallel_speedup_vs_naive\": %.3f,\n", parallel / naive);
+  run.results("    \"thread_sweep\": [");
   for (std::size_t i = 0; i < sweep.size(); ++i)
-    std::fprintf(f, "%s{\"threads\": %u, \"hps\": %.1f}",
-                 i ? ", " : "", sweep[i].first, sweep[i].second);
-  std::fprintf(f, "]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+    run.results("%s{\"threads\": %u, \"hps\": %.1f}", i ? ", " : "",
+                sweep[i].first, sweep[i].second);
+  run.results("]");
+  return run.write();
 }

@@ -14,9 +14,8 @@
 // Results print as a table and persist to BENCH_state.json (schema in
 // EXPERIMENTS.md) so the perf trajectory is comparable across PRs.
 //
-// Flags:
-//   --runs=small|full   small ≈ CI smoke (10^3 accounts only), default full
-//   --out=PATH          JSON output path (default BENCH_state.json)
+// Flags (bench_util.hpp): --runs=small measures the 10^3 scale only;
+// --out=PATH.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -191,14 +190,12 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t copy_txs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = sc::bench::flag_str(argc, argv, "runs", "full");
-  const std::string out_path =
-      sc::bench::flag_str(argc, argv, "out", "BENCH_state.json");
+  sc::bench::BenchRun run(argc, argv, "state");
 
   // (accounts, copy-path txs, journaled-path txs). The copy path gets fewer
   // iterations at large scales — each tx costs a full state copy.
   std::vector<std::array<std::uint64_t, 3>> plan;
-  if (runs == "small") {
+  if (run.small()) {
     plan = {{1'000, 20, 200}};
   } else {
     plan = {{1'000, 200, 2'000}, {100'000, 20, 2'000}, {1'000'000, 5, 2'000}};
@@ -222,30 +219,22 @@ int main(int argc, char** argv) {
                 r.journaled_tx_us, r.apply_speedup(), r.copy_reorg_us,
                 r.journaled_reorg_us, r.snapshot_bytes, r.delta_bytes);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"state_bench/v1\",\n  \"scales\": [\n");
+  run.results("    \"scales\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"accounts\": %llu, \"copy_txs\": %llu, "
-                 "\"journaled_txs\": %llu,\n"
-                 "     \"copy_tx_us\": %.3f, \"journaled_tx_us\": %.3f, "
-                 "\"apply_speedup\": %.2f,\n"
-                 "     \"copy_reorg_us\": %.3f, \"journaled_reorg_us\": %.3f,\n"
-                 "     \"snapshot_bytes\": %zu, \"delta_bytes\": %zu}%s\n",
-                 static_cast<unsigned long long>(r.accounts),
-                 static_cast<unsigned long long>(r.copy_txs),
-                 static_cast<unsigned long long>(r.journaled_txs), r.copy_tx_us,
-                 r.journaled_tx_us, r.apply_speedup(), r.copy_reorg_us,
-                 r.journaled_reorg_us, r.snapshot_bytes, r.delta_bytes,
-                 i + 1 < results.size() ? "," : "");
+    run.results("      {\"accounts\": %llu, \"copy_txs\": %llu, "
+                "\"journaled_txs\": %llu,\n"
+                "       \"copy_tx_us\": %.3f, \"journaled_tx_us\": %.3f, "
+                "\"apply_speedup\": %.2f,\n"
+                "       \"copy_reorg_us\": %.3f, \"journaled_reorg_us\": %.3f,\n"
+                "       \"snapshot_bytes\": %zu, \"delta_bytes\": %zu}%s\n",
+                static_cast<unsigned long long>(r.accounts),
+                static_cast<unsigned long long>(r.copy_txs),
+                static_cast<unsigned long long>(r.journaled_txs), r.copy_tx_us,
+                r.journaled_tx_us, r.apply_speedup(), r.copy_reorg_us,
+                r.journaled_reorg_us, r.snapshot_bytes, r.delta_bytes,
+                i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  run.results("    ]");
+  return run.write();
 }

@@ -10,12 +10,10 @@
 // HARSHER than production, where the miner batches into one add() per
 // mine() call. Microbench rows time the individual primitives.
 //
-// Flags:
-//   --runs=small|full|<attempts>   grind size (small ≈ CI smoke, default full)
-//   --out=PATH                     JSON output (default BENCH_telemetry.json)
+// Flags (bench_util.hpp): --runs=small|full|<attempts> sets the grind size;
+// --out=PATH.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.hpp"
@@ -79,18 +77,8 @@ double ns_per_call(std::uint64_t iters, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = sc::bench::flag_str(argc, argv, "runs", "full");
-  std::uint64_t attempts;
-  if (runs == "small") {
-    attempts = 50'000;
-  } else if (runs == "full") {
-    attempts = 2'000'000;
-  } else {
-    attempts = std::strtoull(runs.c_str(), nullptr, 10);
-    if (attempts == 0) attempts = 2'000'000;
-  }
-  const std::string out_path =
-      sc::bench::flag_str(argc, argv, "out", "BENCH_telemetry.json");
+  sc::bench::BenchRun run(argc, argv, "telemetry");
+  const std::uint64_t attempts = run.size(50'000, 2'000'000);
 
   const chain::BlockHeader header = bench_header();
 
@@ -133,27 +121,17 @@ int main(int argc, char** argv) {
   std::printf("  Histogram::observe  %8.1f ns\n", histogram_observe_ns);
   std::printf("  Tracer span         %8.1f ns\n", tracer_span_ns);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"telemetry_bench/v1\",\n");
-  std::fprintf(f, "  \"attempts\": %llu,\n",
-               static_cast<unsigned long long>(attempts));
-  std::fprintf(f, "  \"noop_hps\": %.1f,\n", noop_hps);
-  std::fprintf(f, "  \"instrumented_hps\": %.1f,\n", instrumented_hps);
-  std::fprintf(f, "  \"overhead_pct\": %.3f,\n", overhead_pct);
-  std::fprintf(f, "  \"counter_add_ns\": %.2f,\n", counter_add_ns);
-  std::fprintf(f, "  \"histogram_observe_ns\": %.2f,\n", histogram_observe_ns);
-  std::fprintf(f, "  \"tracer_span_ns\": %.2f,\n", tracer_span_ns);
-  std::fprintf(f, "  \"within_contract\": %s\n", within_contract ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
+  run.results("    \"attempts\": %llu,\n",
+              static_cast<unsigned long long>(attempts));
+  run.results("    \"noop_hps\": %.1f,\n", noop_hps);
+  run.results("    \"instrumented_hps\": %.1f,\n", instrumented_hps);
+  run.results("    \"overhead_pct\": %.3f,\n", overhead_pct);
+  run.results("    \"counter_add_ns\": %.2f,\n", counter_add_ns);
+  run.results("    \"histogram_observe_ns\": %.2f,\n", histogram_observe_ns);
+  run.results("    \"tracer_span_ns\": %.2f,\n", tracer_span_ns);
+  run.results("    \"within_contract\": %s", within_contract ? "true" : "false");
 
   // The smoke run is a syntax/liveness gate, not a perf gate: CI machines are
   // noisy, so the contract check reports but does not fail the build.
-  return 0;
+  return run.write();
 }

@@ -21,9 +21,8 @@
 // Results print as a table and persist to BENCH_trie.json (schema in
 // EXPERIMENTS.md).
 //
-// Flags:
-//   --runs=small|full   small ≈ CI smoke (10^4 accounts only), default full
-//   --out=PATH          JSON output path (default BENCH_trie.json)
+// Flags (bench_util.hpp): --runs=small measures the 10^4 scale only;
+// --out=PATH.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -133,15 +132,13 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string runs = sc::bench::flag_str(argc, argv, "runs", "full");
-  const std::string out_path =
-      sc::bench::flag_str(argc, argv, "out", "BENCH_trie.json");
+  sc::bench::BenchRun run(argc, argv, "trie");
 
   // (accounts, delta accounts per block, measured blocks). The delta size is
   // FIXED across scales — that is what makes the 10^5 vs 10^6 comparison a
   // pure log-factor measurement.
   std::vector<std::array<std::uint64_t, 3>> plan;
-  if (runs == "small") {
+  if (run.small()) {
     plan = {{10'000, 100, 10}};
   } else {
     plan = {{10'000, 100, 50}, {100'000, 100, 50}, {1'000'000, 100, 50}};
@@ -169,31 +166,24 @@ int main(int argc, char** argv) {
     all_match = all_match && r.root_matches;
   }
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"trie_bench/v1\",\n  \"scales\": [\n");
+  run.results("    \"scales\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"accounts\": %llu, \"delta_accounts\": %llu, "
-                 "\"blocks\": %llu,\n"
-                 "     \"rebuild_s\": %.6f, \"update_us\": %.3f, "
-                 "\"speedup\": %.1f,\n"
-                 "     \"trie_nodes\": %zu, \"proof_bytes\": %zu, "
-                 "\"prove_us\": %.3f, \"verify_us\": %.3f,\n"
-                 "     \"root_matches\": %s}%s\n",
-                 static_cast<unsigned long long>(r.accounts),
-                 static_cast<unsigned long long>(r.delta_accounts),
-                 static_cast<unsigned long long>(r.blocks), r.rebuild_s,
-                 r.update_us, r.speedup(), r.trie_nodes, r.proof_bytes,
-                 r.prove_us, r.verify_us, r.root_matches ? "true" : "false",
-                 i + 1 < results.size() ? "," : "");
+    run.results("      {\"accounts\": %llu, \"delta_accounts\": %llu, "
+                "\"blocks\": %llu,\n"
+                "       \"rebuild_s\": %.6f, \"update_us\": %.3f, "
+                "\"speedup\": %.1f,\n"
+                "       \"trie_nodes\": %zu, \"proof_bytes\": %zu, "
+                "\"prove_us\": %.3f, \"verify_us\": %.3f,\n"
+                "       \"root_matches\": %s}%s\n",
+                static_cast<unsigned long long>(r.accounts),
+                static_cast<unsigned long long>(r.delta_accounts),
+                static_cast<unsigned long long>(r.blocks), r.rebuild_s,
+                r.update_us, r.speedup(), r.trie_nodes, r.proof_bytes,
+                r.prove_us, r.verify_us, r.root_matches ? "true" : "false",
+                i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return all_match ? 0 : 1;
+  run.results("    ]");
+  const int written = run.write();
+  return all_match ? written : 1;
 }

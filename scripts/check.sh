@@ -30,32 +30,11 @@ echo "== sc_metrics_dump: valid + deterministic Prometheus output =="
 ./build/tools/sc_metrics_dump --seed 7 --prom build/metrics_b.prom --check
 cmp build/metrics_a.prom build/metrics_b.prom
 
-echo "== analysis_bench: static + symex throughput smoke =="
-./build/bench/analysis_bench --runs=small --out=build/BENCH_analysis_smoke.json
-
-echo "== telemetry_bench: overhead smoke =="
-./build/bench/telemetry_bench --runs=small --out=build/BENCH_telemetry_smoke.json
-
-echo "== state_bench: journaled-state smoke =="
-./build/bench/state_bench --runs=small --out=build/BENCH_state_smoke.json
-
-echo "== trie_bench: incremental state-commitment smoke =="
-./build/bench/trie_bench --runs=small --out=build/BENCH_trie_smoke.json
-
 echo "== trie differential fuzz: 400 rounds incremental vs full recompute =="
 SC_TRIE_FUZZ_ROUNDS=400 ctest --test-dir build --output-on-failure -R TrieDifferentialFuzz
 
-echo "== exec_bench: parallel-executor smoke =="
-./build/bench/exec_bench --runs=small --out=build/BENCH_exec_smoke.json
-
-echo "== store_bench: durable-store append/reopen smoke =="
-./build/bench/store_bench --runs=small --out=build/BENCH_store_smoke.json
-
 echo "== store: 200 randomized kill-point crash-recovery trials =="
 SC_CRASH_TRIALS=200 ./build/tests/store_crash_test
-
-echo "== recovery_bench: store replay + pull-sync catch-up smoke =="
-./build/bench/recovery_bench --runs=small --out=build/BENCH_recovery_smoke.json
 
 echo "== failpoint matrix: 200 seeded chaos schedules =="
 # Crash/partition/disk-fault schedules against 5-node durable clusters;

@@ -16,7 +16,6 @@ Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
     : telemetry_(tel),
       state_cfg_(genesis.state_store),
       deep_verify_(genesis.deep_verify),
-      sig_cache_(genesis.execution.sig_cache_capacity),
       dynamic_difficulty_(genesis.dynamic_difficulty) {
   if (state_cfg_.flatten_interval == 0) state_cfg_.flatten_interval = 1;
 

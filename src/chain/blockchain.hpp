@@ -63,9 +63,6 @@ struct ExecutionConfig {
   /// (pool workers + the submitting thread); 0 means one lane per hardware
   /// thread. Receipts, state and deltas are byte-identical across settings.
   unsigned threads = 1;
-  /// Capacity of the verified-signature cache shared by block validation,
-  /// execution, and (via Blockchain::sig_cache) mempool admission.
-  std::size_t sig_cache_capacity = SigCache::kDefaultCapacity;
 };
 
 /// Genesis configuration: initial balances (stakeholder endowments).

@@ -211,9 +211,13 @@ TEST(ConsensusCluster, CrashedNodeCatchesUpViaPullSync) {
 
   cluster.crash_node(2);
   EXPECT_FALSE(cluster.node(2).alive());
-  cluster.run_for(600.0);  // ~40 blocks mined while node 2 is down
+  // At least 100 blocks mined while node 2 is down: several 16-block batches.
+  for (int i = 0; i < 100 && cluster.node(0).chain().best_height() <
+                                 cluster.node(2).chain().best_height() + 100;
+       ++i)
+    cluster.run_for(60.0);
   const auto live_height = cluster.node(0).chain().best_height();
-  EXPECT_GT(live_height, cluster.node(2).chain().best_height());
+  EXPECT_GE(live_height, cluster.node(2).chain().best_height() + 100);
 
   EXPECT_TRUE(cluster.restart_node(2));  // RAM-only: restart resyncs from genesis
   bool converged = false;
@@ -224,8 +228,11 @@ TEST(ConsensusCluster, CrashedNodeCatchesUpViaPullSync) {
   EXPECT_TRUE(converged);
   EXPECT_GE(cluster.node(2).chain().best_height(), live_height);
   // The ranged protocol (not just block gossip) did the catching up: the
-  // node was ~40 blocks behind and gossip alone cannot deliver old blocks.
+  // node was >=100 blocks behind and gossip alone cannot deliver old blocks.
   EXPECT_FALSE(cluster.node(2).syncing());
+  // A healthy network answers every range request the first time.
+  EXPECT_EQ(cluster.node(2).sync_retries(), 0u);
+  EXPECT_EQ(cluster.node(2).sync_timeouts(), 0u);
 }
 
 TEST(ConsensusCluster, DurableNodeRestartsFromItsStore) {

@@ -175,6 +175,51 @@ TEST(StoreChain, DirtyReopenRecoversScanAndForkChoice) {
   EXPECT_EQ(recovered.best_state().encode(), reference.best_state().encode());
 }
 
+TEST(StoreChain, LongEmptyChainReopensViaFooterAndViaScan) {
+  // 10^3 empty blocks: long enough for several flatten-interval snapshots
+  // and a footer index with a thousand entries.
+  constexpr std::uint64_t kBlocks = 1'000;
+  TempDir dir;
+  const GenesisConfig genesis = test_genesis(/*flatten_interval=*/256);
+  const auto miner = key(3);
+  util::Bytes expect_tip;
+  {
+    Blockchain durable(genesis);
+    Blockchain reference(genesis);
+    PersistenceOptions options;
+    options.fsync = false;
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("store"), options, &why)) << why;
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+      const Block block =
+          durable.build_block_template(miner.address(), (i + 1) * 10, 1, {});
+      ASSERT_TRUE(durable.submit_block(block, &why, /*skip_pow=*/true)) << why;
+      ASSERT_TRUE(reference.submit_block(block, &why, true)) << why;
+    }
+    expect_tip = reference.best_state().encode();
+    durable.close();
+  }
+  {  // Clean close: the footer index is used and the clean record verifies.
+    Blockchain reopened(genesis);
+    RecoveryReport report;
+    std::string why;
+    ASSERT_TRUE(reopened.open(dir.sub("store"), {}, &why, &report)) << why;
+    EXPECT_TRUE(report.clean_verified);
+    EXPECT_EQ(reopened.best_height(), kBlocks);
+    EXPECT_EQ(reopened.best_state().encode(), expect_tip);
+    reopened.close();
+  }
+  // RecordLog::open truncates the clean-close footer away and its plain
+  // destructor does not rewrite it, so the next open must scan the log.
+  ASSERT_TRUE(store::RecordLog::open(dir.sub("store") + "/blocks.log", false,
+                                     nullptr));
+  Blockchain scanned(genesis);
+  std::string why;
+  ASSERT_TRUE(scanned.open(dir.sub("store"), {}, &why)) << why;
+  EXPECT_EQ(scanned.best_height(), kBlocks);
+  EXPECT_EQ(scanned.best_state().encode(), expect_tip);
+}
+
 TEST(StoreChain, ForkAndReorgSurviveReopen) {
   TempDir dir;
   GenesisConfig genesis = test_genesis(/*flatten_interval=*/4);
