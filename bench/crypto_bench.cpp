@@ -1,10 +1,30 @@
-// Microbenchmarks for the cryptographic substrate (google-benchmark).
+// Cryptographic-substrate harness: hashes, secp256k1 and Merkle roots.
 //
 // Backs the feasibility claim: Algorithm-1 verification (hash + ECDSA) runs
 // in well under a millisecond, so providers can gate thousands of reports
-// per block interval.
-#include <benchmark/benchmark.h>
+// per block interval. Every SRA, report and transaction carries a secp256k1
+// signature, which makes verify the per-message cost of the whole protocol.
+//
+// Each operation runs in batches until ~0.2 s (0.02 s for --runs=small) have
+// passed; the reported figure is the median batch's ns per operation, so a
+// scheduler hiccup in one batch does not move it. Before timing, sign and
+// verify outputs are checked against a fixed key: a fast wrong answer aborts
+// the harness.
+//
+// Results print as a table and persist to BENCH_crypto.json (schema in
+// EXPERIMENTS.md).
+//
+// Flags (bench_util.hpp): --runs=small shortens every timing window;
+// --out=PATH.
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/merkle.hpp"
@@ -16,84 +36,103 @@
 namespace {
 
 using namespace sc;
+using Clock = std::chrono::steady_clock;
 
-void BM_Sha256(benchmark::State& state) {
-  util::Rng rng(1);
-  util::Bytes data;
-  rng.fill(data, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::digest(data));
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+struct OpResult {
+  std::string name;
+  std::size_t bytes = 0;  ///< Input size for hashes (0 otherwise).
+  double ns_per_op = 0;
+};
 
-void BM_Keccak256(benchmark::State& state) {
-  util::Rng rng(2);
-  util::Bytes data;
-  rng.fill(data, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::keccak256(data));
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Keccak256)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_Ripemd160(benchmark::State& state) {
-  util::Rng rng(3);
-  util::Bytes data;
-  rng.fill(data, 1024);
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::ripemd160(data));
-}
-BENCHMARK(BM_Ripemd160);
-
-void BM_EcdsaSign(benchmark::State& state) {
-  util::Rng rng(4);
-  const auto key = crypto::KeyPair::generate(rng);
-  const auto digest = crypto::Sha256::digest(util::as_bytes("report"));
-  for (auto _ : state) benchmark::DoNotOptimize(key.sign(digest));
-}
-BENCHMARK(BM_EcdsaSign);
-
-void BM_EcdsaVerify(benchmark::State& state) {
-  util::Rng rng(5);
-  const auto key = crypto::KeyPair::generate(rng);
-  const auto digest = crypto::Sha256::digest(util::as_bytes("report"));
-  const auto sig = key.sign(digest);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(crypto::verify_signature(key.public_key(), digest, sig));
-}
-BENCHMARK(BM_EcdsaVerify);
-
-void BM_KeyGeneration(benchmark::State& state) {
-  util::Rng rng(6);
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::KeyPair::generate(rng));
-}
-BENCHMARK(BM_KeyGeneration);
-
-void BM_MerkleRoot(benchmark::State& state) {
-  util::Rng rng(7);
-  std::vector<crypto::Hash256> leaves(static_cast<std::size_t>(state.range(0)));
-  for (auto& leaf : leaves) {
-    util::Bytes raw;
-    rng.fill(raw, 32);
-    leaf = crypto::Hash256::from_span(raw);
+/// Median ns/op over batches of `batch` calls, batches repeated until
+/// `window_s` has passed (at least five batches).
+OpResult time_op(const std::string& name, std::size_t bytes, int batch, double window_s,
+                 const std::function<void()>& op) {
+  std::vector<double> per_op;
+  const auto begin = Clock::now();
+  while (per_op.size() < 5 ||
+         std::chrono::duration<double>(Clock::now() - begin).count() < window_s) {
+    const auto start = Clock::now();
+    for (int i = 0; i < batch; ++i) op();
+    per_op.push_back(std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
+                     batch);
   }
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::merkle_root(leaves));
+  std::sort(per_op.begin(), per_op.end());
+  return {name, bytes, per_op[per_op.size() / 2]};
 }
-BENCHMARK(BM_MerkleRoot)->Arg(16)->Arg(256)->Arg(1024);
-
-void BM_MerkleProofVerify(benchmark::State& state) {
-  util::Rng rng(8);
-  std::vector<crypto::Hash256> leaves(256);
-  for (auto& leaf : leaves) {
-    util::Bytes raw;
-    rng.fill(raw, 32);
-    leaf = crypto::Hash256::from_span(raw);
-  }
-  const auto root = crypto::merkle_root(leaves);
-  const auto proof = crypto::merkle_proof(leaves, 100);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(crypto::merkle_verify(leaves[100], proof, root));
-}
-BENCHMARK(BM_MerkleProofVerify);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  sc::bench::BenchRun run(argc, argv, "crypto");
+  const double window_s = run.small() ? 0.02 : 0.2;
+
+  sc::bench::header("Crypto layer: hashes, secp256k1, Merkle roots");
+
+  util::Rng rng(0xC2F);
+  const crypto::KeyPair key = crypto::KeyPair::generate(rng);
+  const crypto::Hash256 digest = crypto::Sha256::digest(util::as_bytes("report"));
+  const crypto::secp256k1::Signature sig = key.sign(digest);
+  // A fast wrong answer is worthless: the signature must verify, a tampered
+  // digest must not, and signing must be deterministic.
+  if (!crypto::verify_signature(key.public_key(), digest, sig) ||
+      crypto::verify_signature(key.public_key(), crypto::Sha256::digest(util::as_bytes("x")),
+                               sig) ||
+      key.sign(digest) != sig) {
+    std::printf("FATAL: secp256k1 self-check failed\n");
+    return 1;
+  }
+
+  volatile std::uint64_t sink = 0;
+  std::vector<OpResult> ops;
+  for (const std::size_t n : {64, 1024, 16384}) {
+    util::Bytes data;
+    rng.fill(data, n);
+    ops.push_back(time_op("sha256", n, 64, window_s,
+                          [&] { sink = sink + crypto::Sha256::digest(data).bytes[0]; }));
+    ops.push_back(time_op("keccak256", n, 64, window_s,
+                          [&] { sink = sink + crypto::keccak256(data).bytes[0]; }));
+  }
+  {
+    util::Bytes data;
+    rng.fill(data, 1024);
+    ops.push_back(time_op("ripemd160", 1024, 64, window_s,
+                          [&] { sink = sink + crypto::ripemd160(data).bytes[0]; }));
+  }
+  ops.push_back(time_op("ecdsa_sign", 0, 8, window_s,
+                        [&] { sink = sink + key.sign(digest).r.low64(); }));
+  ops.push_back(time_op("ecdsa_verify", 0, 8, window_s, [&] {
+    sink = sink + crypto::verify_signature(key.public_key(), digest, sig);
+  }));
+  ops.push_back(time_op("key_generation", 0, 8, window_s, [&] {
+    sink = sink + crypto::KeyPair::generate(rng).public_key().x.low64();
+  }));
+  for (const std::size_t n : {16, 256, 1024}) {
+    std::vector<crypto::Hash256> leaves(n);
+    for (auto& leaf : leaves) {
+      util::Bytes raw;
+      rng.fill(raw, 32);
+      leaf = crypto::Hash256::from_span(raw);
+    }
+    ops.push_back(time_op("merkle_root_" + std::to_string(n), 0, 4, window_s,
+                          [&] { sink = sink + crypto::merkle_root(leaves).bytes[0]; }));
+  }
+
+  std::printf("%-18s %8s %14s %10s\n", "op", "bytes", "ns/op", "MB/s");
+  for (const OpResult& r : ops) {
+    if (r.bytes)
+      std::printf("%-18s %8zu %14.1f %10.1f\n", r.name.c_str(), r.bytes, r.ns_per_op,
+                  static_cast<double>(r.bytes) * 1e3 / r.ns_per_op);
+    else
+      std::printf("%-18s %8s %14.1f %10s\n", r.name.c_str(), "-", r.ns_per_op, "-");
+  }
+
+  run.results("    \"ops\": [\n");
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const OpResult& r = ops[i];
+    run.results("      {\"op\": \"%s\", \"bytes\": %zu, \"ns_per_op\": %.1f}%s\n",
+                r.name.c_str(), r.bytes, r.ns_per_op, i + 1 < ops.size() ? "," : "");
+  }
+  run.results("    ]");
+  return run.write();
+}

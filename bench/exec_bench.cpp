@@ -16,6 +16,9 @@
 // A third measurement times batched signature verification (the other half
 // of the tentpole) across the same lane counts: ECDSA verify fan-out is
 // embarrassingly parallel and shows the pool's scaling ceiling directly.
+// A fourth times what that fan-out buys end to end: Blockchain::submit_block
+// of a 64-transfer block on a fresh chain (cold signature cache) at 1 and 4
+// lanes — the measurement that keeps crypto::batch_verify's pool path.
 //
 // NOTE: speedups are bounded by the physical cores of the machine running
 // the bench; on a single-core container every lane count measures ~1x.
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chain/blockchain.hpp"
 #include "chain/parallel_executor.hpp"
 #include "chain/sig_cache.hpp"
 #include "crypto/batch_verify.hpp"
@@ -184,6 +188,49 @@ std::vector<SigBatchResult> run_sig_batch(const std::vector<chain::Transaction>&
   return results;
 }
 
+struct ConnectResult {
+  unsigned threads = 0;
+  double connect_ms = 0;  ///< Mean wall ms of one cold-cache submit_block.
+  double speedup = 1.0;
+};
+
+/// submit_block of one pre-sealed block on a fresh chain per rep, so every
+/// signature misses the cache and goes through block pre-validation.
+std::vector<ConnectResult> run_connect_cold(const std::vector<crypto::KeyPair>& senders,
+                                            const std::vector<chain::Transaction>& txs,
+                                            const std::vector<unsigned>& lane_counts,
+                                            int reps) {
+  chain::GenesisConfig genesis;
+  for (const crypto::KeyPair& k : senders)
+    genesis.allocations.push_back({k.address(), 10 * chain::kEther});
+  const chain::Address miner{};
+  chain::Block block;
+  {
+    chain::Blockchain builder(genesis);
+    block = builder.build_block_template(miner, 15, 1, txs);
+  }
+  std::vector<ConnectResult> results;
+  double sequential_ms = 0;
+  for (unsigned lanes : lane_counts) {
+    genesis.execution.threads = lanes;
+    telemetry::Telemetry tel;
+    double total_s = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      chain::Blockchain chain(genesis, &tel);
+      const auto start = Clock::now();
+      if (!chain.submit_block(block, nullptr, /*skip_pow=*/true)) std::abort();
+      total_s += seconds_since(start);
+    }
+    ConnectResult r;
+    r.threads = lanes;
+    r.connect_ms = total_s * 1e3 / reps;
+    if (lanes == 1) sequential_ms = r.connect_ms;
+    r.speedup = sequential_ms > 0 ? sequential_ms / r.connect_ms : 1.0;
+    results.push_back(r);
+  }
+  return results;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,6 +296,15 @@ int main(int argc, char** argv) {
   const std::vector<SigBatchResult> sig_batch =
       run_sig_batch(low_conflict, lane_counts, reps);
 
+  std::printf("running connect_cold...\n");
+  constexpr std::size_t kConnectTxs = 64;
+  const std::vector<crypto::KeyPair> connect_senders(senders.begin(),
+                                                     senders.begin() + kConnectTxs);
+  const std::vector<chain::Transaction> connect_txs(low_conflict.begin(),
+                                                    low_conflict.begin() + kConnectTxs);
+  const std::vector<ConnectResult> connect_cold =
+      run_connect_cold(connect_senders, connect_txs, {1, 4}, small ? 3 : 20);
+
   for (const WorkloadResult& w : workloads) {
     std::printf("\n%s (conflicts: %llu/%zu)\n", w.name.c_str(),
                 static_cast<unsigned long long>(w.conflicts), block_txs);
@@ -261,6 +317,10 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %9s\n", "lanes", "µs/sig", "speedup");
   for (const SigBatchResult& r : sig_batch)
     std::printf("%-8u %12.2f %8.2fx\n", r.threads, r.us_per_sig, r.speedup);
+  std::printf("\n%zu-tx block connect, cold signature cache\n", kConnectTxs);
+  std::printf("%-8s %12s %9s\n", "lanes", "connect ms", "speedup");
+  for (const ConnectResult& r : connect_cold)
+    std::printf("%-8u %12.3f %8.2fx\n", r.threads, r.connect_ms, r.speedup);
 
   run.results("    \"accounts\": %llu,\n    \"block_txs\": %zu,\n",
               static_cast<unsigned long long>(accounts), block_txs);
@@ -285,6 +345,14 @@ int main(int argc, char** argv) {
                 r.threads, r.us_per_sig, r.speedup,
                 i + 1 < sig_batch.size() ? "," : "");
   }
-  run.results("    ]");
+  run.results("    ],\n    \"connect_cold\": {\"block_txs\": %zu, \"threads\": [\n",
+              kConnectTxs);
+  for (std::size_t i = 0; i < connect_cold.size(); ++i) {
+    const ConnectResult& r = connect_cold[i];
+    run.results("      {\"threads\": %u, \"connect_ms\": %.3f, \"speedup\": %.3f}%s\n",
+                r.threads, r.connect_ms, r.speedup,
+                i + 1 < connect_cold.size() ? "," : "");
+  }
+  run.results("    ]}");
   return run.write();
 }

@@ -81,13 +81,13 @@ int main() {
   const auto reports =
       full.protocol_records(chain::ProtocolKind::kDetailedReport);
   for (const auto& [loc, tx] : reports) {
-    const chain::Receipt* receipt = full.receipt_of(tx->id());
+    const chain::Receipt* receipt = full.receipt_of(tx.id());
     if (!receipt || !receipt->ok()) continue;
     const auto proof = full.block(loc.block_id)->proof_for(loc.index);
     std::printf("\nSPV check: report %s... included at height %llu: %s\n",
-                tx->id().hex().substr(0, 12).c_str(),
+                tx.id().hex().substr(0, 12).c_str(),
                 static_cast<unsigned long long>(loc.height),
-                light.verify_inclusion(tx->id(), loc.block_id, proof)
+                light.verify_inclusion(tx.id(), loc.block_id, proof)
                     ? "VERIFIED with headers only"
                     : "FAILED");
     break;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: regular build + tests, the ASan/UBSan suite, the
-# parallel miner under TSan, and a static-analysis pass over the SmartCrowd
-# contract. Mirrors what CI should run on every change.
+# parallel miner, executor and secp256k1 table build under TSan, and a
+# static-analysis pass over the SmartCrowd contract. Mirrors what CI should run on every change.
 #
 #   scripts/check.sh            # everything
 #   SKIP_TSAN=1 scripts/check.sh  # skip the thread-sanitizer stage
@@ -65,6 +65,12 @@ echo "== ASan/UBSan: sealed-template adoption =="
 # the matching submit_block — rerun the adoption suite sanitized.
 ctest --test-dir build-asan --output-on-failure -R ChainTemplate
 
+echo "== ASan/UBSan: secp256k1 limb arithmetic + deep durable history =="
+# The field element's carry chains, the wNAF/precomputed-table scalar
+# multiplication (against the generic oracle), the signature cache, and the
+# durable chain's deep-history read path — rerun them sanitized.
+ctest --test-dir build-asan --output-on-failure -R "Secp256k1|Crypto|SigCache|StoreChain"
+
 echo "== ASan/UBSan: store byte layer + serialization fuzz =="
 # Torn-tail repair, recovery and the codec round-trip/bit-flip fuzzers are
 # exactly the code that touches raw buffers — rerun them sanitized.
@@ -96,6 +102,10 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: sealed-template adoption at 4 lanes =="
   cmake --build build-tsan --target chain_template_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R "ChainTemplate.*FourLanes"
+
+  echo "== TSan: four lanes race the first use of the static G tables =="
+  cmake --build build-tsan --target crypto_secp256k1_oracle_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -R FourLanesRaceTheFirstTableUse
 
   echo "== TSan: crash/restart + pull-sync node tests =="
   cmake --build build-tsan --target core_node_test -j "$jobs"

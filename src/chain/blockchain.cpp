@@ -68,6 +68,8 @@ void Blockchain::close() {
   store_->on_close(best_height(), best_head_, tip_state_);
   store_.reset();
   store_degraded_ = false;
+  deep_cache_.clear();
+  deep_cache_order_.clear();
 }
 
 void Blockchain::detach_store() {
@@ -75,6 +77,8 @@ void Blockchain::detach_store() {
   // leaving the directory exactly as the last acknowledged write shaped it.
   store_.reset();
   store_degraded_ = false;
+  deep_cache_.clear();
+  deep_cache_order_.clear();
 }
 
 bool Blockchain::compact_store(std::uint64_t finality_depth, std::string* why) {
@@ -127,56 +131,88 @@ void Blockchain::flatten_into(Entry& entry) {
       .set(static_cast<double>(snapshot_bytes_));
 }
 
-void Blockchain::move_tip_to(const Hash256& target) {
+bool Blockchain::move_tip_to(const Hash256& target) {
   drop_sealed();
-  if (tip_at_ == target) return;
-  // Collect the deltas to unapply (tip side) and apply (target side) up to
-  // the two branches' common ancestor.
-  std::vector<const StateDelta*> undo, redo;
+  if (tip_at_ == target) return true;
+  // Collect the blocks whose deltas to unapply (tip side) and apply (target
+  // side) up to the two branches' common ancestor.
+  std::vector<Hash256> undo, redo;
   Hash256 a = tip_at_;
   Hash256 b = target;
   const Entry* ea = &entries_.at(a);
   const Entry* eb = &entries_.at(b);
   while (ea->block.header.height > eb->block.header.height) {
-    undo.push_back(&ea->delta);
+    undo.push_back(a);
     a = ea->block.header.prev_id;
     ea = &entries_.at(a);
   }
   while (eb->block.header.height > ea->block.header.height) {
-    redo.push_back(&eb->delta);
+    redo.push_back(b);
     b = eb->block.header.prev_id;
     eb = &entries_.at(b);
   }
   while (a != b) {
-    undo.push_back(&ea->delta);
+    undo.push_back(a);
     a = ea->block.header.prev_id;
     ea = &entries_.at(a);
-    redo.push_back(&eb->delta);
+    redo.push_back(b);
     b = eb->block.header.prev_id;
     eb = &entries_.at(b);
   }
+  // Deltas that left RAM are read back before anything moves, so an
+  // unreadable store leaves the tip where it was. They are kept until the
+  // next walk: the walk back to the best head needs the same ones and never
+  // reads again.
+  std::unordered_map<Hash256, StateDelta> walk;
+  for (const std::vector<Hash256>* ids : {&undo, &redo}) {
+    for (const Hash256& id : *ids) {
+      if (entries_.at(id).resident || last_walk_.contains(id)) continue;
+      Block body;
+      StateDelta delta;
+      if (!store_ || !store_->load_block(id, &body, &delta)) return false;
+      walk.emplace(id, std::move(delta));
+    }
+  }
+  // Every read succeeded; only now take over what the previous walk held.
+  for (const std::vector<Hash256>* ids : {&undo, &redo})
+    for (const Hash256& id : *ids)
+      if (!entries_.at(id).resident && !walk.contains(id))
+        walk.emplace(id, std::move(last_walk_.at(id)));
+  last_walk_ = std::move(walk);
+  auto delta_at = [&](const Hash256& id) -> const StateDelta& {
+    const Entry& entry = entries_.at(id);
+    return entry.resident ? entry.delta : last_walk_.at(id);
+  };
   // Each delta step also refreshes the touched leaves of the commitment from
   // the just-transitioned state — the trie rolls backward and forward in
   // O(changes · log n), same as the flat state.
-  for (const StateDelta* delta : undo) {
-    delta->unapply(tip_state_);
-    commitment_.update(*delta, tip_state_);
+  for (const Hash256& id : undo) {
+    const StateDelta& delta = delta_at(id);
+    delta.unapply(tip_state_);
+    commitment_.update(delta, tip_state_);
   }
   for (auto it = redo.rbegin(); it != redo.rend(); ++it) {
-    (*it)->apply(tip_state_);
-    commitment_.update(**it, tip_state_);
+    const StateDelta& delta = delta_at(*it);
+    delta.apply(tip_state_);
+    commitment_.update(delta, tip_state_);
   }
   tip_at_ = target;
+  return true;
 }
 
-void Blockchain::execute_block_body(const Block& block,
-                                    std::vector<Receipt>* receipts,
-                                    StateDelta* delta) {
+BlockEnv Blockchain::env_of(const Block& block) const {
   BlockEnv env;
   env.number = block.header.height;
   env.timestamp = block.header.timestamp;
   env.miner = block.header.miner;
   if (deep_verify_.enabled) env.deep_verify = &deep_verify_;
+  return env;
+}
+
+void Blockchain::execute_block_body(const Block& block,
+                                    std::vector<Receipt>* receipts,
+                                    StateDelta* delta) {
+  const BlockEnv env = env_of(block);
   JournaledState journal(tip_state_);
   std::vector<Receipt> r =
       exec_pool_ ? apply_block_body_parallel(journal, env, block.transactions,
@@ -231,7 +267,10 @@ bool Blockchain::seal_state_root(Block& block, std::string* why) {
     if (why) *why = "unknown parent";
     return false;
   }
-  move_tip_to(block.header.prev_id);
+  if (!move_tip_to(block.header.prev_id)) {
+    if (why) *why = "parent state unreadable from the store";
+    return false;
+  }
   SealedTemplate sealed;
   execute_block_body(block, &sealed.receipts, &sealed.delta);
   const bool on_best = block.header.prev_id == best_head_;
@@ -362,7 +401,8 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     // Execute journaled on the materialized tip, walked to the parent first
     // (a no-op when the block extends the current head). Only the block's
     // net diff is retained.
-    move_tip_to(block.header.prev_id);
+    if (!move_tip_to(block.header.prev_id))
+      return fail("parent state unreadable from the store");
     execute_block_body(block, &entry.receipts, &entry.delta);
     roll_commitment(entry.delta);
   }
@@ -409,6 +449,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
   const bool better =
       entry.cumulative_difficulty > current_best.cumulative_difficulty;
   entries_.emplace(id, std::move(entry));
+  if (store_ && !store_degraded_) resident_by_height_[block.header.height].push_back(id);
   tel.registry
       .counter("chain_blocks_connected_total", "Blocks validated and stored")
       .inc();
@@ -455,6 +496,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
         .inc();
     if (why) why->clear();
   }
+  evict_deep_history();
   tel.registry
       .gauge("state_accounts", "Accounts in the canonical-head state")
       .set(static_cast<double>(tip_state_.account_count()));
@@ -517,7 +559,7 @@ const WorldState* Blockchain::state_of(const Hash256& block_id) const {
 
   // Materialize: copy the nearest ancestor snapshot — in memory, or on disk
   // when a store is attached — and replay deltas forward.
-  std::vector<const StateDelta*> path;
+  std::vector<Hash256> path;
   const Entry* entry = &it->second;
   Hash256 cursor = block_id;
   WorldState state;
@@ -527,12 +569,15 @@ const WorldState* Blockchain::state_of(const Hash256& block_id) const {
       break;
     }
     if (store_ && store_->load_snapshot(cursor, &state)) break;
-    path.push_back(&entry->delta);
+    path.push_back(cursor);
     cursor = entry->block.header.prev_id;
     entry = &entries_.at(cursor);
   }
-  for (auto delta = path.rbegin(); delta != path.rend(); ++delta)
-    (*delta)->apply(state);
+  for (auto id = path.rbegin(); id != path.rend(); ++id) {
+    const StateDelta* delta = delta_of(*id, entries_.at(*id));
+    if (!delta) return nullptr;  // deep history unreadable (store gone)
+    delta->apply(state);
+  }
 
   if (state_cfg_.max_cached_states > 0 &&
       state_cache_.size() >= state_cfg_.max_cached_states) {
@@ -551,7 +596,10 @@ void Blockchain::prune_state_cache() const {
 
 const Block* Blockchain::block(const Hash256& id) const {
   const auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second.block;
+  if (it == entries_.end()) return nullptr;
+  if (it->second.resident) return &it->second.block;
+  const DeepRecord* record = deep_record(id);
+  return record ? &record->block : nullptr;
 }
 
 const Block* Blockchain::block_at(std::uint64_t height) const {
@@ -561,12 +609,71 @@ const Block* Blockchain::block_at(std::uint64_t height) const {
 
 const std::vector<Receipt>* Blockchain::receipts(const Hash256& block_id) const {
   const auto it = entries_.find(block_id);
-  return it == entries_.end() ? nullptr : &it->second.receipts;
+  if (it == entries_.end()) return nullptr;
+  const Entry& entry = it->second;
+  // Blocks replayed from the store by open() are resident without receipts.
+  if (entry.resident && entry.receipts.size() == entry.block.transactions.size())
+    return &entry.receipts;
+  if (const DeepRecord* record = deep_record(block_id); !record) {
+    return nullptr;
+  } else if (record->receipts) {
+    return &*record->receipts;
+  }
+  // Receipts are not persisted: re-execute the body on a copy of the
+  // parent's post-state, with metrics going to a scratch sink so a read
+  // never shows up as chain activity.
+  const WorldState* parent = state_of(entry.block.header.prev_id);
+  if (!parent) return nullptr;
+  WorldState scratch = *parent;
+  telemetry::Telemetry quiet;
+  DeepRecord* record = deep_record(block_id);  // state_of may have evicted it
+  if (!record) return nullptr;
+  record->receipts = apply_block_body(scratch, env_of(record->block),
+                                      record->block.transactions, kBlockReward,
+                                      &quiet);
+  return &*record->receipts;
 }
 
 const StateDelta* Blockchain::delta_of(const Hash256& block_id) const {
   const auto it = entries_.find(block_id);
-  return it == entries_.end() ? nullptr : &it->second.delta;
+  return it == entries_.end() ? nullptr : delta_of(block_id, it->second);
+}
+
+const StateDelta* Blockchain::delta_of(const Hash256& id, const Entry& entry) const {
+  if (entry.resident) return &entry.delta;
+  const DeepRecord* record = deep_record(id);
+  return record ? &record->delta : nullptr;
+}
+
+Blockchain::DeepRecord* Blockchain::deep_record(const Hash256& id) const {
+  if (const auto hit = deep_cache_.find(id); hit != deep_cache_.end()) return &hit->second;
+  DeepRecord record;
+  if (!store_ || !store_->load_block(id, &record.block, &record.delta)) return nullptr;
+  if (deep_cache_.size() >= kDeepCacheEntries) {
+    deep_cache_.erase(deep_cache_order_.front());
+    deep_cache_order_.pop_front();
+  }
+  deep_cache_order_.push_back(id);
+  return &deep_cache_.emplace(id, std::move(record)).first->second;
+}
+
+void Blockchain::evict_deep_history() {
+  if (!store_ || store_degraded_) return;
+  const std::uint64_t head = best_height();
+  if (head <= state_cfg_.flatten_interval) return;
+  const std::uint64_t floor = head - state_cfg_.flatten_interval;
+  while (!resident_by_height_.empty() && resident_by_height_.begin()->first < floor) {
+    for (const Hash256& id : resident_by_height_.begin()->second) {
+      Entry& entry = entries_.at(id);
+      // Swap with empties so the capacity is returned, not just the size.
+      std::vector<Transaction>().swap(entry.block.transactions);
+      entry.delta = StateDelta{};
+      std::vector<Receipt>().swap(entry.receipts);
+      entry.resident = false;
+      ++evicted_count_;
+    }
+    resident_by_height_.erase(resident_by_height_.begin());
+  }
 }
 
 bool Blockchain::is_confirmed(const Hash256& block_id, std::uint64_t depth) const {
@@ -580,7 +687,8 @@ bool Blockchain::is_confirmed(const Hash256& block_id, std::uint64_t depth) cons
 std::optional<TxLocation> Blockchain::find_transaction(const Hash256& tx_id) const {
   const auto it = tx_index_.find(tx_id);
   if (it == tx_index_.end()) return std::nullopt;
-  return it->second;
+  const TxSlot& slot = it->second;
+  return TxLocation{canonical_[slot.height], slot.height, slot.index};
 }
 
 const Receipt* Blockchain::receipt_of(const Hash256& tx_id) const {
@@ -620,15 +728,16 @@ Block Blockchain::build_block_template(const Address& miner, std::uint64_t times
   return block;
 }
 
-std::vector<std::pair<TxLocation, const Transaction*>> Blockchain::protocol_records(
+std::vector<std::pair<TxLocation, Transaction>> Blockchain::protocol_records(
     ProtocolKind kind) const {
-  std::vector<std::pair<TxLocation, const Transaction*>> out;
+  std::vector<std::pair<TxLocation, Transaction>> out;
   for (std::uint64_t h = 0; h < canonical_.size(); ++h) {
     const Block* blk = block(canonical_[h]);
+    if (!blk) continue;  // deep history unreadable (store gone)
     for (std::size_t i = 0; i < blk->transactions.size(); ++i) {
       const Transaction& tx = blk->transactions[i];
       if (tx.protocol == kind)
-        out.push_back({TxLocation{canonical_[h], h, i}, &tx});
+        out.push_back({TxLocation{canonical_[h], h, i}, tx});
     }
   }
   return out;
@@ -641,26 +750,47 @@ void Blockchain::extend_canonical(const Hash256& id,
   canonical_.push_back(id);
   const std::uint64_t h = canonical_.size() - 1;
   for (std::size_t i = 0; i < tx_ids.size(); ++i)
-    tx_index_[tx_ids[i]] = TxLocation{id, h, i};
+    tx_index_[tx_ids[i]] = TxSlot{h, static_cast<std::uint32_t>(i)};
 }
 
 void Blockchain::reindex_canonical() {
-  canonical_.clear();
-  tx_index_.clear();
-  // Walk back from the head to genesis.
+  // The new head's branch back to the first block already canonical at its
+  // height (the fork point); canonical_ keeps everything up to it.
+  std::vector<Hash256> branch;
   Hash256 cursor = best_head_;
-  std::vector<Hash256> reversed;
   while (true) {
-    reversed.push_back(cursor);
     const Entry& entry = entries_.at(cursor);
-    if (entry.block.header.height == 0) break;
+    const std::uint64_t height = entry.block.header.height;
+    if (height < canonical_.size() && canonical_[height] == cursor) break;
+    branch.push_back(cursor);
+    if (height == 0) break;
     cursor = entry.block.header.prev_id;
   }
-  canonical_.assign(reversed.rbegin(), reversed.rend());
-  for (std::uint64_t h = 0; h < canonical_.size(); ++h) {
-    const Block* blk = block(canonical_[h]);
+  const std::uint64_t keep =
+      branch.empty() ? std::min<std::uint64_t>(canonical_.size(), best_height() + 1)
+                     : entries_.at(branch.back()).block.header.height;
+  // Unindex the abandoned suffix, then index the new branch oldest first. A
+  // body the store cannot return is unindexed by a scan of the index.
+  for (std::uint64_t h = canonical_.size(); h-- > keep;) {
+    const Hash256& abandoned = canonical_[h];
+    const Block* blk = block(abandoned);
+    if (!blk) {
+      std::erase_if(tx_index_, [&](const auto& kv) { return kv.second.height == h; });
+      continue;
+    }
+    for (const Transaction& tx : blk->transactions) {
+      const auto it = tx_index_.find(tx.id());
+      if (it != tx_index_.end() && it->second.height == h) tx_index_.erase(it);
+    }
+  }
+  canonical_.resize(keep);
+  for (auto id = branch.rbegin(); id != branch.rend(); ++id) {
+    canonical_.push_back(*id);
+    const std::uint64_t h = canonical_.size() - 1;
+    const Block* blk = block(*id);
+    if (!blk) continue;
     for (std::size_t i = 0; i < blk->transactions.size(); ++i)
-      tx_index_[blk->transactions[i].id()] = TxLocation{canonical_[h], h, i};
+      tx_index_[blk->transactions[i].id()] = TxSlot{h, static_cast<std::uint32_t>(i)};
   }
 }
 

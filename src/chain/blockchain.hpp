@@ -18,10 +18,18 @@
 // entries along the fork), not O(accounts). Historic states
 // (`state_of`) are rebuilt from the nearest snapshot on demand and cached.
 //
+// A durable chain (store attached, not degraded) keeps block bodies, deltas
+// and receipts in RAM only for blocks within `flatten_interval` of the best
+// head; deeper history is read back from the store on demand (receipts by
+// re-executing the body on the parent's state), so RAM per connected block
+// is its header and index entries. RAM-only chains keep everything.
+//
 // A block this chain sealed itself executes once: build_block_template keeps
 // the sealed result and its own submit_block adopts it (DESIGN.md §11).
 #pragma once
 
+#include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,8 +97,6 @@ struct PersistenceOptions {
   /// fsync the log/journal at the ordering contract points. Off trades the
   /// durability of the newest blocks for append throughput.
   bool fsync = true;
-  /// Tip-journal rewrite cadence (records between compactions).
-  std::uint64_t wal_compact_every = 4096;
 };
 
 /// What Blockchain::open found and did while replaying an existing store.
@@ -149,6 +155,8 @@ class Blockchain {
             std::string* why = nullptr, RecoveryReport* report = nullptr);
   /// Clean shutdown of the attached store: journals the head + tip-state
   /// digest and seals the log with its lookup index. No-op when not open.
+  /// History that had left RAM for the store is unreadable afterwards:
+  /// reopen the directory with a fresh chain to read it again.
   void close();
   /// True once open() succeeded (and close() has not run).
   bool persistent() const { return store_ != nullptr; }
@@ -161,7 +169,8 @@ class Blockchain {
   /// Drops the attached store WITHOUT the clean-shutdown records — the
   /// on-disk state is left exactly as the last acknowledged write put it, as
   /// a process death would. The simulator's crash/restart lifecycle uses
-  /// this; a real shutdown wants close().
+  /// this; a real shutdown wants close(). Like close(), it ends reads of
+  /// history that had left RAM.
   void detach_store();
   /// Rewrites the store's log, dropping fork blocks that can no longer reorg
   /// in: keeps the canonical chain plus every block within `finality_depth`
@@ -181,13 +190,27 @@ class Blockchain {
   /// `max_cached_states` forces eviction of that entry.
   const WorldState* state_of(const Hash256& block_id) const;
 
+  /// Pointers returned by block, block_at, receipts, delta_of and
+  /// receipt_of stay valid for the chain's lifetime on a RAM-only chain. On a
+  /// durable chain, a block deeper than `flatten_interval` below the head is
+  /// read back from the store into a small cache, and a pointer into it is
+  /// valid until kDeepCacheEntries further deep reads (or close()).
   const Block* block(const Hash256& id) const;
   /// Block at `height` on the canonical chain (nullptr if beyond tip).
   const Block* block_at(std::uint64_t height) const;
+  /// Execution receipts. Receipts are not persisted: a durable chain
+  /// re-executes the body of a deep or replayed block on its parent's state.
   const std::vector<Receipt>* receipts(const Hash256& block_id) const;
 
   /// Per-block state diff (always present; empty for no-op blocks).
   const StateDelta* delta_of(const Hash256& block_id) const;
+
+  /// Deep blocks a durable chain keeps read back from the store at once.
+  static constexpr std::size_t kDeepCacheEntries = 64;
+  /// Blocks whose body, delta and receipts are in RAM: every block of a
+  /// RAM-only chain; those within `flatten_interval` of the head (plus
+  /// genesis) on a durable one.
+  std::size_t resident_block_count() const { return entries_.size() - evicted_count_; }
 
   /// True if the block sits on the canonical chain with at least `depth`
   /// blocks on top (default: protocol confirmation depth).
@@ -252,17 +275,28 @@ class Blockchain {
 
   /// All canonical transactions with the given protocol kind, oldest first —
   /// the consumer query surface ("look up the blockchain", Section VI-A).
-  std::vector<std::pair<TxLocation, const Transaction*>> protocol_records(
+  /// Returned by value: deep history may be read back from the store.
+  std::vector<std::pair<TxLocation, Transaction>> protocol_records(
       ProtocolKind kind) const;
 
  private:
   struct Entry {
-    Block block;
+    Block block;  ///< Header always; transactions only while resident.
     std::uint64_t cumulative_difficulty = 0;
     StateDelta delta;                      ///< This block's diff over its parent.
     std::unique_ptr<WorldState> snapshot;  ///< Full post-state at flatten heights.
     std::vector<Receipt> receipts;
     std::uint64_t arrival_order = 0;  ///< Tie-break: first seen wins.
+    /// False once body, delta and receipts left RAM for the store (durable
+    /// chains, deeper than flatten_interval below the head).
+    bool resident = true;
+  };
+
+  /// A deep block read back from the store; receipts are filled on demand.
+  struct DeepRecord {
+    Block block;
+    StateDelta delta;
+    std::optional<std::vector<Receipt>> receipts;
   };
 
   /// What seal_state_root computed for a template on the best head, held for
@@ -281,6 +315,8 @@ class Blockchain {
     bool matches(const Block& block) const;
   };
 
+  /// Brings canonical_ and tx_index_ to best_head_, touching only the blocks
+  /// above the old and new branches' fork point.
   void reindex_canonical();
   /// O(block) canonical/tx-index append for the head-extends-head fast path;
   /// `tx_ids` are the block's transaction ids in body order.
@@ -291,8 +327,10 @@ class Blockchain {
   /// Walks tip_state_ from tip_at_ to `target` (both must be stored) by
   /// unapplying deltas up to the common ancestor and applying down the other
   /// branch, rolling the state commitment along (after dropping a held
-  /// template). O(changed entries along the two branches).
-  void move_tip_to(const Hash256& target);
+  /// template). O(changed entries along the two branches). False, with
+  /// nothing moved, when a delta that left RAM cannot be read back; the walk
+  /// back over the same blocks reuses the deltas read and cannot fail.
+  bool move_tip_to(const Hash256& target);
   /// Executes `block`'s body on tip_state_ (which must equal the parent's
   /// post-state), committing the journal and returning the net delta;
   /// receipts are optional. The commitment is NOT updated — callers follow
@@ -309,6 +347,16 @@ class Blockchain {
   /// Stores a full snapshot for `entry` (assumed == tip_state_) and updates
   /// the flatten telemetry.
   void flatten_into(Entry& entry);
+  /// Execution environment of `block` (shared by connect and re-execution).
+  BlockEnv env_of(const Block& block) const;
+  /// Durable chains: drops body, delta and receipts of every block deeper
+  /// than flatten_interval below the head. No-op without a writable store.
+  void evict_deep_history();
+  /// Reads an evicted block back from the store through the deep cache
+  /// (nullptr if the store is gone or the read fails).
+  DeepRecord* deep_record(const Hash256& id) const;
+  /// Delta of a stored block, resident or read back.
+  const StateDelta* delta_of(const Hash256& id, const Entry& entry) const;
 
   telemetry::Telemetry* telemetry_ = nullptr;
   /// Durable backend attached by open(); null for a RAM-only chain. Concrete
@@ -329,7 +377,14 @@ class Blockchain {
   std::uint64_t arrival_counter_ = 0;
   /// Canonical chain indices, rebuilt on head change.
   std::vector<Hash256> canonical_;                       ///< height -> block id
-  std::unordered_map<Hash256, TxLocation> tx_index_;     ///< canonical txs
+  /// Where a canonical tx sits; the block id is canonical_[height], so an
+  /// entry is 16 bytes instead of a full TxLocation (one per tx ever
+  /// connected, the largest per-block term a durable chain keeps in RAM).
+  struct TxSlot {
+    std::uint64_t height = 0;
+    std::uint32_t index = 0;
+  };
+  std::unordered_map<Hash256, TxSlot> tx_index_;  ///< canonical txs
 
   /// The one materialized state, walked across the tree via deltas.
   WorldState tip_state_;
@@ -344,6 +399,15 @@ class Blockchain {
   /// under insertion; eviction is FIFO via state_cache_order_).
   mutable std::unordered_map<Hash256, WorldState> state_cache_;
   mutable std::vector<Hash256> state_cache_order_;
+  /// Durable chains: resident non-genesis blocks by height, the eviction
+  /// queue of evict_deep_history.
+  std::map<std::uint64_t, std::vector<Hash256>> resident_by_height_;
+  std::size_t evicted_count_ = 0;
+  /// Deltas the last move_tip_to read back from the store.
+  std::unordered_map<Hash256, StateDelta> last_walk_;
+  /// Deep blocks read back from the store, FIFO-bounded at kDeepCacheEntries.
+  mutable std::unordered_map<Hash256, DeepRecord> deep_cache_;
+  mutable std::deque<Hash256> deep_cache_order_;
 };
 
 }  // namespace sc::chain

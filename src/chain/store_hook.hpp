@@ -40,6 +40,8 @@ class StoreHook {
   /// case load_snapshot can materialize it without delta replay.
   virtual bool has_snapshot(const Hash256& id) const = 0;
   virtual bool load_snapshot(const Hash256& id, WorldState* out) const = 0;
+  /// Reads a stored block and its delta back (deep history that left RAM).
+  virtual bool load_block(const Hash256& id, Block* block, StateDelta* delta) const = 0;
   /// Clean shutdown: journal the head with the tip state's digest and seal
   /// the log with its index footer.
   virtual bool on_close(std::uint64_t height, const Hash256& id,

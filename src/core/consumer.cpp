@@ -19,7 +19,7 @@ std::optional<SraView> Consumer::view_of(const Sra& sra, std::uint64_t height,
 std::vector<SraView> Consumer::list_confirmed_sras(std::uint64_t depth) const {
   std::vector<SraView> out;
   for (const auto& [loc, tx] : chain_.protocol_records(chain::ProtocolKind::kSra)) {
-    const auto sra = Sra::deserialize(tx->protocol_payload);
+    const auto sra = Sra::deserialize(tx.protocol_payload);
     if (!sra) continue;
     // Consumers re-run the decentralized SRA verification — they never trust
     // a record merely for being on chain.
@@ -32,7 +32,7 @@ std::vector<SraView> Consumer::list_confirmed_sras(std::uint64_t depth) const {
 std::optional<SraView> Consumer::inspect(const Hash256& sra_id,
                                          std::uint64_t depth) const {
   for (const auto& [loc, tx] : chain_.protocol_records(chain::ProtocolKind::kSra)) {
-    const auto sra = Sra::deserialize(tx->protocol_payload);
+    const auto sra = Sra::deserialize(tx.protocol_payload);
     if (!sra || sra->id != sra_id) continue;
     if (verify_sra(*sra) != Verdict::kOk) return std::nullopt;
     return view_of(*sra, loc.height, depth);
@@ -44,11 +44,11 @@ std::vector<DetailedReport> Consumer::detection_reports(const Hash256& sra_id) c
   std::vector<DetailedReport> out;
   for (const auto& [loc, tx] :
        chain_.protocol_records(chain::ProtocolKind::kDetailedReport)) {
-    const auto report = DetailedReport::deserialize(tx->protocol_payload);
+    const auto report = DetailedReport::deserialize(tx.protocol_payload);
     if (!report || report->sra_id != sra_id) continue;
     // Only reveals whose on-chain contract call succeeded actually recorded
     // a vulnerability (and paid the bounty).
-    const chain::Receipt* receipt = chain_.receipt_of(tx->id());
+    const chain::Receipt* receipt = chain_.receipt_of(tx.id());
     if (receipt && receipt->ok()) out.push_back(std::move(*report));
   }
   return out;

@@ -195,24 +195,4 @@ U256 U256::div(const U256& a, const U256& b, U256* remainder) {
   return q;
 }
 
-U512 U512::from_parts(const U256& lo, const U256& hi) {
-  U512 out;
-  for (int i = 0; i < 4; ++i) {
-    out.limb[i] = lo.limb[i];
-    out.limb[i + 4] = hi.limb[i];
-  }
-  return out;
-}
-
-U512 U512::add(const U512& a, const U512& b) {
-  U512 out;
-  unsigned char carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const __uint128_t s = static_cast<__uint128_t>(a.limb[i]) + b.limb[i] + carry;
-    out.limb[i] = static_cast<std::uint64_t>(s);
-    carry = static_cast<unsigned char>(s >> 64);
-  }
-  return out;
-}
-
 }  // namespace sc::crypto

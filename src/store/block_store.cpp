@@ -234,7 +234,7 @@ std::unique_ptr<BlockStore> BlockStore::open(const std::string& dir,
   store->opened_existing_ = !store->order_.empty();
 
   store->journal_ = TipJournal::open(dir + "/tip.wal", options.fsync,
-                                     options.wal_compact_every, why);
+                                     kWalCompactEvery, why);
   if (!store->journal_) return nullptr;
 
   store->scan_snapshot_dir();
@@ -603,7 +603,7 @@ bool BlockStore::contains(const crypto::Hash256& id) const {
   return by_id_.contains(id);
 }
 
-std::optional<chain::Block> BlockStore::block_by_id(
+std::optional<std::pair<chain::Block, chain::StateDelta>> BlockStore::record_by_id(
     const crypto::Hash256& id) const {
   if (!log_) return std::nullopt;
   const auto it = by_id_.find(id);
@@ -612,7 +612,7 @@ std::optional<chain::Block> BlockStore::block_by_id(
   if (!payload) return std::nullopt;
   auto decoded = decode_block_payload(*payload);
   if (!decoded) return std::nullopt;
-  return std::move(decoded->block);
+  return std::make_pair(std::move(decoded->block), std::move(decoded->delta));
 }
 
 std::vector<crypto::Hash256> BlockStore::ids_at(std::uint64_t height) const {

@@ -46,9 +46,10 @@ struct StoreOptions {
   /// trades crash-durability of the newest blocks for append throughput
   /// (recovery still yields a valid prefix — just an older one).
   bool fsync = true;
-  /// Rewrite tip.wal down to its newest record every this many tip writes.
-  std::uint64_t wal_compact_every = 4096;
 };
+
+/// tip.wal is rewritten down to its newest record every this many tip writes.
+inline constexpr std::uint64_t kWalCompactEvery = 4096;
 
 struct StoreStats {
   std::uint64_t blocks = 0;
@@ -105,7 +106,9 @@ class BlockStore {
       std::string* why) const;
 
   bool contains(const crypto::Hash256& id) const;
-  std::optional<chain::Block> block_by_id(const crypto::Hash256& id) const;
+  /// Block and delta of one stored record (nullopt if unknown or unreadable).
+  std::optional<std::pair<chain::Block, chain::StateDelta>> record_by_id(
+      const crypto::Hash256& id) const;
   /// Ids recorded at `height`, in append order (forks make this non-unique).
   std::vector<crypto::Hash256> ids_at(std::uint64_t height) const;
 

@@ -8,7 +8,7 @@
 // order doubles as first-seen order), fork choice, canonical index — then
 // materializes the tip from the nearest on-disk snapshot by delta replay and
 // cross-checks the write-ahead tip journal. Receipts are not persisted:
-// consumers needing historic receipts keep the process alive or re-execute.
+// Blockchain::receipts re-executes a block that has left RAM.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -59,6 +59,14 @@ class BlockStoreHook final : public StoreHook {
     return true;
   }
 
+  bool load_block(const Hash256& id, Block* block, StateDelta* delta) const override {
+    auto record = store_->record_by_id(id);
+    if (!record) return false;
+    *block = std::move(record->first);
+    *delta = std::move(record->second);
+    return true;
+  }
+
   bool on_close(std::uint64_t height, const Hash256& id,
                 const WorldState& tip_state) override {
     return store_->close_clean(height, id, tip_state.digest());
@@ -89,7 +97,6 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
 
   store::StoreOptions store_options;
   store_options.fsync = options.fsync;
-  store_options.wal_compact_every = options.wal_compact_every;
   auto backing = store::BlockStore::open(dir, genesis_id_, store_options,
                                          telemetry_, why);
   if (!backing) return false;
@@ -152,6 +159,8 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
     tip_at_ = genesis_id_;
     tip_state_ = *entries_.at(genesis_id_).snapshot;
     commitment_.rebuild(tip_state_);
+    canonical_.clear();
+    tx_index_.clear();
     reindex_canonical();
     prune_state_cache();
     return fail(why, std::move(msg));
@@ -222,6 +231,12 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
   }
 
   store_ = std::make_unique<BlockStoreHook>(std::move(backing));
+  // Replayed history deeper than flatten_interval leaves RAM like live
+  // blocks do; the store now serves it.
+  for (const auto& [id, entry] : entries_)
+    if (entry.block.header.height != 0)
+      resident_by_height_[entry.block.header.height].push_back(id);
+  evict_deep_history();
   return true;
 }
 

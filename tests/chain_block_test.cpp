@@ -294,7 +294,7 @@ TEST_F(BlockchainTest, ProtocolRecordQuery) {
   extend({tx});
   const auto records = chain_.protocol_records(ProtocolKind::kSra);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].second->protocol_payload, (util::Bytes{1, 2, 3}));
+  EXPECT_EQ(records[0].second.protocol_payload, (util::Bytes{1, 2, 3}));
   EXPECT_TRUE(chain_.protocol_records(ProtocolKind::kDetailedReport).empty());
 }
 

@@ -62,6 +62,26 @@ TEST(Transaction, DecodeRejectsTruncation) {
   EXPECT_FALSE(Transaction::decode(wire).has_value());
 }
 
+TEST(Transaction, DecodeRejectsNonCanonicalPubkeyAlias) {
+  // The curve point with x = 1, written as x = 1 + p: the same point, but it
+  // hashes to another address, so the wire format must accept one form only.
+  namespace ec = crypto::secp256k1;
+  const auto y = ec::sqrt_mod_p(crypto::U256{8});
+  ASSERT_TRUE(y.has_value());
+  const ec::AffinePoint canonical{crypto::U256::one(), *y, false};
+  ASSERT_TRUE(canonical.is_on_curve());
+  const ec::AffinePoint alias{crypto::U256::one() + ec::field_prime(), *y, false};
+  EXPECT_NE(crypto::address_of(alias), crypto::address_of(canonical));
+  EXPECT_FALSE(alias.is_on_curve());
+
+  Transaction tx = make_transfer(key(7), key(8).address(), 1);
+  tx.sender_pubkey = canonical;
+  ASSERT_TRUE(Transaction::decode(tx.encode()).has_value());
+  tx.sender_pubkey = alias;
+  EXPECT_FALSE(Transaction::decode(tx.encode()).has_value());
+  EXPECT_FALSE(tx.verify_signature());
+}
+
 TEST(Transaction, IdChangesWithEveryField) {
   const auto k = key(7);
   const Transaction base = make_transfer(k, key(8).address(), 10, 3);

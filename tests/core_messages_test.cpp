@@ -77,6 +77,18 @@ TEST(Messages, SraSerializationRoundTrip) {
   EXPECT_EQ(verify_sra(*decoded), Verdict::kOk);
 }
 
+TEST(Messages, SraDeserializeRejectsNonCanonicalPubkeyAlias) {
+  // x = 1 + p names the curve point with x = 1 but is not its encoding.
+  namespace ec = crypto::secp256k1;
+  const auto y = ec::sqrt_mod_p(crypto::U256{8});
+  ASSERT_TRUE(y.has_value());
+  Sra sra = make_sra(key(2));
+  sra.provider_pubkey = {crypto::U256::one(), *y, false};
+  ASSERT_TRUE(Sra::deserialize(sra.serialize()).has_value());
+  sra.provider_pubkey.x = crypto::U256::one() + ec::field_prime();
+  EXPECT_FALSE(Sra::deserialize(sra.serialize()).has_value());
+}
+
 TEST(Messages, SraDeserializeRejectsTruncation) {
   const auto wire = make_sra(key(2)).serialize();
   for (std::size_t cut : {0u, 10u, 50u}) {

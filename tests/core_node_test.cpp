@@ -263,6 +263,47 @@ TEST(ConsensusCluster, DurableNodeRestartsFromItsStore) {
   std::filesystem::remove_all(root);
 }
 
+TEST(ConsensusCluster, DurableNodesServeDeepHistoryToACatchingUpPeer) {
+  // flatten_interval 4: a durable node keeps only its top four blocks' bodies
+  // in RAM, so a peer resyncing from >=100 blocks behind is served range
+  // requests straight from the store, and must still end byte-identical.
+  const auto funder = key(26);
+  char tmpl[] = "/tmp/sc_node_deep_XXXXXX";
+  const std::string root = ::mkdtemp(tmpl);
+  ClusterOptions options;
+  options.store_root = root;
+  options.persistence.fsync = false;
+  chain::GenesisConfig genesis = genesis_with(funder);
+  genesis.state_store.flatten_interval = 4;
+  ConsensusCluster cluster(27, {{1.0, true}, {1.0, true}, {1.0, true}}, genesis,
+                           demo_gate, chain::kTargetBlockTime, {}, nullptr, options);
+  cluster.run_for(300.0);
+  cluster.crash_node(2);
+  for (int i = 0; i < 100 && cluster.node(0).chain().best_height() <
+                                 cluster.node(2).chain().best_height() + 100;
+       ++i)
+    cluster.run_for(60.0);
+  EXPECT_GE(cluster.node(0).chain().best_height(),
+            cluster.node(2).chain().best_height() + 100);
+  EXPECT_LE(cluster.node(0).chain().resident_block_count(), 16u);
+  EXPECT_TRUE(cluster.restart_node(2));
+  bool converged = false;
+  for (int i = 0; i < 60 && !converged; ++i) {
+    cluster.run_for(30.0);
+    converged = cluster.honest_nodes_converged();
+  }
+  EXPECT_TRUE(converged);
+  const chain::Blockchain& server = cluster.node(0).chain();
+  const chain::Blockchain& peer = cluster.node(2).chain();
+  const std::uint64_t height = std::min(server.best_height(), peer.best_height());
+  for (std::uint64_t h = 0; h <= height; ++h) {
+    ASSERT_NE(peer.block_at(h), nullptr) << h;
+    ASSERT_NE(server.block_at(h), nullptr) << h;
+    EXPECT_EQ(peer.block_at(h)->encode(), server.block_at(h)->encode()) << h;
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST(ConsensusNode, OrphanBufferIsBoundedWithOldestParentEviction) {
   sim::Simulator sim(26);
   sim::Network net(sim);

@@ -1,9 +1,11 @@
 // secp256k1 field, group and ECDSA tests: fixed generator vectors,
-// algebraic laws and RFC-6979 determinism.
+// algebraic laws and RFC-6979 determinism. (Differential checks against the
+// generic oracle live in crypto_secp256k1_oracle_test.cpp.)
 #include <gtest/gtest.h>
 
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
+#include "secp256k1_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace sc::crypto::secp256k1 {
@@ -15,6 +17,8 @@ U256 rand_scalar(util::Rng& rng) {
     if (is_valid_private_key(d)) return d;
   }
 }
+
+FieldElement rand_fe(util::Rng& rng) { return FieldElement::reduce(rand_scalar(rng)); }
 
 TEST(Secp256k1Field, ModulusShapes) {
   // p = 2^256 - 2^32 - 977, n just below p: both must be odd 256-bit primes
@@ -28,54 +32,55 @@ TEST(Secp256k1Field, ModulusShapes) {
 
 TEST(Secp256k1Field, AddSubRoundTrip) {
   util::Rng rng(1);
-  const auto& f = Fp();
   for (int i = 0; i < 100; ++i) {
-    const U256 a = f.reduce(rand_scalar(rng));
-    const U256 b = f.reduce(rand_scalar(rng));
-    EXPECT_EQ(f.sub(f.add(a, b), b), a);
-    EXPECT_EQ(f.add(a, f.neg(a)), U256::zero());
+    const FieldElement a = rand_fe(rng);
+    const FieldElement b = rand_fe(rng);
+    EXPECT_EQ((a + b) - b, a);
+    EXPECT_TRUE((a + a.neg()).is_zero());
   }
 }
 
 TEST(Secp256k1Field, MulCommutativeAssociativeDistributive) {
   util::Rng rng(2);
-  const auto& f = Fp();
   for (int i = 0; i < 50; ++i) {
-    const U256 a = f.reduce(rand_scalar(rng));
-    const U256 b = f.reduce(rand_scalar(rng));
-    const U256 c = f.reduce(rand_scalar(rng));
-    EXPECT_EQ(f.mul(a, b), f.mul(b, a));
-    EXPECT_EQ(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
-    EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
+    const FieldElement a = rand_fe(rng);
+    const FieldElement b = rand_fe(rng);
+    const FieldElement c = rand_fe(rng);
+    EXPECT_EQ(a * b, b * a);
+    EXPECT_EQ((a * b) * c, a * (b * c));
+    EXPECT_EQ(a * (b + c), a * b + a * c);
   }
 }
 
 TEST(Secp256k1Field, InverseIsTwoSided) {
   util::Rng rng(3);
-  for (const auto* field : {&Fp(), &Fn()}) {
-    for (int i = 0; i < 25; ++i) {
-      U256 a = field->reduce(rand_scalar(rng));
-      if (a.is_zero()) a = U256::one();
-      const U256 ai = field->inv(a);
-      EXPECT_EQ(field->mul(a, ai), U256::one());
-      EXPECT_EQ(field->mul(ai, a), U256::one());
-    }
+  const FieldElement one = FieldElement::from_u64(1);
+  const Scalar scalar_one = Scalar::reduce(U256::one());
+  for (int i = 0; i < 25; ++i) {
+    FieldElement a = rand_fe(rng);
+    if (a.is_zero()) a = one;
+    EXPECT_EQ(a * a.inv(), one);
+    EXPECT_EQ(a.inv() * a, one);
+    const Scalar s = Scalar::reduce(rand_scalar(rng));
+    EXPECT_EQ(s * s.inv(), scalar_one);
+    EXPECT_EQ(s.inv() * s, scalar_one);
   }
 }
 
 TEST(Secp256k1Field, PowMatchesRepeatedMul) {
-  const auto& f = Fp();
+  // The oracle's generic pow against the dedicated element's repeated mul.
   const U256 base{12345};
-  U256 acc = U256::one();
-  for (int i = 0; i < 10; ++i) acc = f.mul(acc, base);
-  EXPECT_EQ(f.pow(base, U256{10}), acc);
-  EXPECT_EQ(f.pow(base, U256::zero()), U256::one());
+  FieldElement acc = FieldElement::from_u64(1);
+  for (int i = 0; i < 10; ++i) acc = acc * FieldElement::from_u64(12345);
+  EXPECT_EQ(acc.to_u256(), oracle::Fp().pow(base, U256{10}));
+  EXPECT_EQ(oracle::Fp().pow(base, U256::zero()), U256::one());
 }
 
 TEST(Secp256k1Field, FermatLittleTheorem) {
-  const auto& f = Fp();
-  const U256 a{987654321};
-  EXPECT_EQ(f.pow(a, f.modulus() - U256{1}), U256::one());
+  // The addition-chain inverse is a^(p-2); a·a^(p-2) = a^(p-1) = 1.
+  const FieldElement a = FieldElement::from_u64(987654321);
+  EXPECT_EQ(a.inv().to_u256(), oracle::Fp().pow(a.to_u256(), field_prime() - U256{2}));
+  EXPECT_EQ(a * a.inv(), FieldElement::from_u64(1));
 }
 
 TEST(Secp256k1Group, GeneratorOnCurve) {
@@ -102,11 +107,11 @@ TEST(Secp256k1Group, NTimesGIsIdentity) {
 TEST(Secp256k1Group, AddMatchesScalarDistribution) {
   // (a+b)G == aG + bG for random scalars.
   util::Rng rng(4);
-  const auto& fn = Fn();
   for (int i = 0; i < 10; ++i) {
     const U256 a = rand_scalar(rng);
     const U256 b = rand_scalar(rng);
-    const AffinePoint lhs = scalar_mul_base(fn.add(a, b)).to_affine();
+    const AffinePoint lhs =
+        scalar_mul_base((Scalar::reduce(a) + Scalar::reduce(b)).to_u256()).to_affine();
     const AffinePoint rhs = scalar_mul_base(a).add(scalar_mul_base(b)).to_affine();
     EXPECT_EQ(lhs, rhs);
   }
@@ -122,7 +127,7 @@ TEST(Secp256k1Group, DoubleEqualsAddSelf) {
 TEST(Secp256k1Group, AddInverseGivesIdentity) {
   const JacobianPoint g = JacobianPoint::from_affine(generator());
   AffinePoint neg_g = generator();
-  neg_g.y = Fp().neg(neg_g.y);
+  neg_g.y = FieldElement::reduce(neg_g.y).neg().to_u256();
   EXPECT_TRUE(g.add_affine(neg_g).is_identity());
 }
 
@@ -230,6 +235,22 @@ TEST(Secp256k1Ecdsa, DecodePublicRejectsOffCurve) {
   EXPECT_FALSE(decode_public(garbage).has_value());
 }
 
+TEST(Secp256k1Ecdsa, DecodePublicRejectsNonCanonicalCoordinates) {
+  // (1, y) is on the curve; (1 + p, y) names the same point non-canonically.
+  const auto y = sqrt_mod_p(U256{8});
+  ASSERT_TRUE(y.has_value());
+  const AffinePoint point{U256::one(), *y, false};
+  ASSERT_TRUE(decode_public(encode_public(point)).has_value());
+  AffinePoint alias = point;
+  alias.x = U256::one() + field_prime();
+  EXPECT_FALSE(decode_public(encode_public(alias)).has_value());
+  EXPECT_FALSE(FieldElement::from_canonical(alias.x).has_value());
+  // A y >= p alias (y + p still fits in 256 bits for small y only): the
+  // contract is checked directly on the field element.
+  EXPECT_FALSE(FieldElement::from_canonical(field_prime()).has_value());
+  EXPECT_TRUE(FieldElement::from_canonical(field_prime() - U256::one()).has_value());
+}
+
 TEST(Secp256k1Ecdsa, Rfc6979NonceIsStableAndInRange) {
   const U256 d = U256::from_hex("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
   const Hash256 z = Sha256::digest(util::as_bytes("nonce input"));
@@ -243,14 +264,12 @@ TEST(Secp256k1Ecdsa, Rfc6979NonceIsStableAndInRange) {
 
 TEST(Secp256k1Sqrt, RootOfSquareRecoversValue) {
   util::Rng rng(14);
-  const auto& f = Fp();
   for (int i = 0; i < 20; ++i) {
-    const U256 v = f.reduce(rand_scalar(rng));
-    const U256 square = f.sqr(v);
-    const auto root = sqrt_mod_p(square);
+    const FieldElement v = rand_fe(rng);
+    const auto root = sqrt_mod_p(v.sqr().to_u256());
     ASSERT_TRUE(root.has_value());
     // The root is v or -v.
-    EXPECT_TRUE(*root == v || *root == f.neg(v));
+    EXPECT_TRUE(*root == v.to_u256() || *root == v.neg().to_u256());
   }
 }
 

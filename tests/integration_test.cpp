@@ -42,11 +42,11 @@ TEST(Integration, LightClientVerifiesReportInclusionFromPlatformChain) {
   std::size_t verified = 0;
   for (const auto& [loc, tx] :
        full.protocol_records(chain::ProtocolKind::kDetailedReport)) {
-    const chain::Receipt* receipt = full.receipt_of(tx->id());
+    const chain::Receipt* receipt = full.receipt_of(tx.id());
     if (!receipt || !receipt->ok()) continue;
     const chain::Block* block = full.block(loc.block_id);
     const auto proof = block->proof_for(loc.index);
-    EXPECT_TRUE(light.verify_inclusion(tx->id(), loc.block_id, proof))
+    EXPECT_TRUE(light.verify_inclusion(tx.id(), loc.block_id, proof))
         << "report at height " << loc.height;
     ++verified;
   }

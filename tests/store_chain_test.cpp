@@ -405,5 +405,166 @@ TEST(StoreChain, OldFormatLogIsRejectedWithVersionError) {
   EXPECT_EQ(again, why);
 }
 
+
+// -- Deep history off the heap --------------------------------------------------
+
+/// Everything a receipt carries, as comparable bytes.
+util::Bytes receipt_bytes(const Receipt& r) {
+  util::Writer w;
+  w.raw(r.tx_id.span());
+  w.u8(static_cast<std::uint8_t>(r.status));
+  w.u64(r.gas_used);
+  w.u64(r.fee_paid);
+  w.raw(r.contract_address.span());
+  w.u32(static_cast<std::uint32_t>(r.logs.size()));
+  for (const auto& log : r.logs) {
+    w.raw(log.contract.span());
+    for (const auto& topic : log.topics) w.raw(topic.to_hash().span());
+    w.bytes(log.data);
+  }
+  w.bytes(r.return_data);
+  w.bytes(util::as_bytes(r.error));
+  return std::move(w).take();
+}
+
+/// Every history API answers `durable` exactly as `twin`, for every
+/// canonical height and every id in `extra`.
+void expect_same_history(const Blockchain& durable, const Blockchain& twin,
+                         const std::vector<Hash256>& extra) {
+  ASSERT_EQ(durable.best_head(), twin.best_head());
+  std::vector<Hash256> ids = extra;
+  for (std::uint64_t h = 0; h <= twin.best_height(); ++h) {
+    const Block* expect = twin.block_at(h);
+    const Block* got = durable.block_at(h);
+    ASSERT_NE(got, nullptr) << "height " << h;
+    EXPECT_EQ(got->encode(), expect->encode()) << "height " << h;
+    ids.push_back(expect->id());
+    for (const Transaction& tx : expect->transactions) {
+      const Receipt* want = twin.receipt_of(tx.id());
+      const Receipt* have = durable.receipt_of(tx.id());
+      ASSERT_NE(want, nullptr);
+      ASSERT_NE(have, nullptr) << "height " << h;
+      EXPECT_EQ(receipt_bytes(*have), receipt_bytes(*want)) << "height " << h;
+    }
+  }
+  for (const Hash256& id : ids) {
+    ASSERT_NE(durable.block(id), nullptr);
+    EXPECT_EQ(durable.block(id)->encode(), twin.block(id)->encode());
+    const auto* want = twin.receipts(id);
+    const auto* have = durable.receipts(id);
+    ASSERT_NE(have, nullptr);
+    ASSERT_EQ(have->size(), want->size());
+    for (std::size_t i = 0; i < want->size(); ++i)
+      EXPECT_EQ(receipt_bytes((*have)[i]), receipt_bytes((*want)[i]));
+    EXPECT_EQ(durable.delta_of(id)->encode(), twin.delta_of(id)->encode());
+    ASSERT_NE(durable.state_of(id), nullptr);
+    EXPECT_EQ(durable.state_of(id)->encode(), twin.state_of(id)->encode());
+  }
+  const auto want_records = twin.protocol_records(ProtocolKind::kSra);
+  const auto have_records = durable.protocol_records(ProtocolKind::kSra);
+  ASSERT_EQ(have_records.size(), want_records.size());
+  for (std::size_t i = 0; i < want_records.size(); ++i) {
+    EXPECT_EQ(have_records[i].first.block_id, want_records[i].first.block_id);
+    EXPECT_EQ(have_records[i].first.index, want_records[i].first.index);
+    EXPECT_EQ(have_records[i].second.encode(), want_records[i].second.encode());
+  }
+}
+
+TEST(StoreChain, DeepHistoryMatchesRamOnlyTwin) {
+  // K = 8: the durable chain keeps bodies, deltas and receipts for the top
+  // eight heights only and reads everything deeper back from the store —
+  // across a reorg forked 20 blocks deep and a close -> reopen.
+  constexpr std::uint64_t kK = 8;
+  TempDir dir;
+  const GenesisConfig genesis = test_genesis(kK);
+  const auto alice = key(1);
+  const auto bob = key(2);
+  const auto miner = key(3);
+  std::vector<Hash256> fork_ids;
+  std::vector<Hash256> main_ids;
+  {
+    Blockchain durable(genesis);
+    Blockchain twin(genesis);
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("store"), {}, &why)) << why;
+    // Main chain: 30 blocks, every third transfer tagged as an SRA record.
+    for (std::uint64_t h = 1; h <= 30; ++h) {
+      Transaction tx = transfer(alice, bob.address(), kEther / 100 + h, h - 1);
+      if (h % 3 == 0) {
+        tx.protocol = ProtocolKind::kSra;
+        tx.protocol_payload = util::Bytes{static_cast<std::uint8_t>(h)};
+        tx.sign_with(alice);
+      }
+      const Block block = make_block(durable, durable.best_head(), h, h * 10, 1,
+                                     miner.address(), {tx});
+      ASSERT_TRUE(durable.submit_block(block, &why, true)) << why;
+      ASSERT_TRUE(twin.submit_block(block, &why, true)) << why;
+      main_ids.push_back(block.id());
+    }
+    EXPECT_LE(durable.resident_block_count(), kK + 2);
+    EXPECT_EQ(twin.resident_block_count(), twin.block_count());
+    {
+      SCOPED_TRACE("main chain");
+      expect_same_history(durable, twin, {});
+    }
+
+    // A fork from height 10 (20 below the head) that overtakes at 31: each
+    // fork block is sealed on an evicted parent, and the final head switch
+    // unindexes main-chain blocks that already left RAM.
+    Hash256 parent = main_ids[9];
+    for (std::uint64_t h = 11; h <= 34; ++h) {
+      Transaction tx = transfer(bob, alice.address(), kEther / 1000 + h, h - 11);
+      if (h % 4 == 0) {
+        tx.protocol = ProtocolKind::kSra;
+        tx.protocol_payload = util::Bytes{static_cast<std::uint8_t>(100 + h)};
+        tx.sign_with(bob);
+      }
+      const Block block = make_block(durable, parent, h, h * 10 + 5, 1,
+                                     miner.address(), {tx});
+      ASSERT_TRUE(durable.submit_block(block, &why, true)) << why;
+      ASSERT_TRUE(twin.submit_block(block, &why, true)) << why;
+      parent = block.id();
+      fork_ids.push_back(parent);
+    }
+    ASSERT_EQ(durable.best_head(), fork_ids.back());
+    EXPECT_EQ(durable.best_state().encode(), twin.best_state().encode());
+    std::vector<Hash256> both = main_ids;
+    both.insert(both.end(), fork_ids.begin(), fork_ids.end());
+    {
+      SCOPED_TRACE("after the reorg");
+      expect_same_history(durable, twin, both);
+    }
+
+    // Reopen the directory: replay evicts deep history again and answers the
+    // same, abandoned main-chain blocks included.
+    durable.close();
+    Blockchain reopened(genesis);
+    ASSERT_TRUE(reopened.open(dir.sub("store"), {}, &why)) << why;
+    EXPECT_LE(reopened.resident_block_count(), 2 * (kK + 2));
+    SCOPED_TRACE("reopened");
+    expect_same_history(reopened, twin, both);
+  }
+}
+
+TEST(StoreChain, RamOnlyChainKeepsAllHistoryResident) {
+  // Without a store nothing leaves RAM: every block keeps its body, delta
+  // and receipts, and the pointers handed out stay valid as the chain grows.
+  const GenesisConfig genesis = test_genesis(/*flatten_interval=*/4);
+  Blockchain chain(genesis);
+  std::uint64_t nonce = 0;
+  const auto ids = grow(chain, nullptr, 40, &nonce);
+  const Block* first = chain.block(ids[0]);
+  const auto* first_receipts = chain.receipts(ids[0]);
+  const StateDelta* first_delta = chain.delta_of(ids[0]);
+  grow(chain, nullptr, 10, &nonce);
+  EXPECT_EQ(chain.resident_block_count(), chain.block_count());
+  EXPECT_EQ(chain.block(ids[0]), first);
+  EXPECT_EQ(chain.receipts(ids[0]), first_receipts);
+  EXPECT_EQ(chain.delta_of(ids[0]), first_delta);
+  EXPECT_EQ(first->transactions.size(), 1u);
+  EXPECT_EQ(first_receipts->size(), 1u);
+  EXPECT_FALSE(first_delta->empty());
+}
+
 }  // namespace
 }  // namespace sc::chain
