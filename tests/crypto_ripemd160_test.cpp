@@ -1,6 +1,9 @@
 // RIPEMD-160 against the original Dobbertin/Bosselaers/Preneel test vectors.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 #include "crypto/ripemd160.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
@@ -12,6 +15,12 @@ struct Vector {
   const char* msg;
   const char* digest;
 };
+
+// gtest would otherwise print the raw pointer bytes, and ctest names each
+// case after that printout, so the names would change with every build.
+void PrintTo(const Vector& v, std::ostream* os) {
+  *os << std::strlen(v.msg) << "-byte message";
+}
 
 class Ripemd160Vectors : public ::testing::TestWithParam<Vector> {};
 
