@@ -92,7 +92,7 @@ WorkloadResult run_workload(const std::string& name, const chain::WorldState& ba
   // the timed region measures execution, not ECDSA (measured separately).
   chain::SigCache sig_cache;
   for (const chain::Transaction& tx : txs)
-    sig_cache.insert(chain::SigCache::key_of(tx));
+    sig_cache.insert(tx.id());
 
   WorkloadResult result;
   result.name = name;
@@ -165,7 +165,7 @@ std::vector<SigBatchResult> run_sig_batch(const std::vector<chain::Transaction>&
   std::vector<crypto::VerifyJob> jobs;
   jobs.reserve(txs.size());
   for (const chain::Transaction& tx : txs)
-    jobs.push_back({tx.sender_pubkey, tx.id(), tx.signature});
+    jobs.push_back({tx.sender_pubkey, tx.signing_hash(), tx.signature});
 
   std::vector<SigBatchResult> results;
   double sequential_us = 0;

@@ -69,7 +69,7 @@ echo "== ASan/UBSan: secp256k1 limb arithmetic + deep durable history =="
 # The field element's carry chains, the wNAF/precomputed-table scalar
 # multiplication (against the generic oracle), the signature cache, and the
 # durable chain's deep-history read path — rerun them sanitized.
-ctest --test-dir build-asan --output-on-failure -R "Secp256k1|Crypto|SigCache|StoreChain"
+ctest --test-dir build-asan --output-on-failure -R "Secp256k1|Crypto|SigCache|StoreChain|TxIdentity"
 
 echo "== ASan/UBSan: store byte layer + serialization fuzz =="
 # Torn-tail repair, recovery and the codec round-trip/bit-flip fuzzers are
@@ -102,6 +102,10 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: sealed-template adoption at 4 lanes =="
   cmake --build build-tsan --target chain_template_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R "ChainTemplate.*FourLanes"
+
+  echo "== TSan: high-s twin refused by 4-lane batch pre-validation =="
+  cmake --build build-tsan --target chain_tx_identity_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -R "TxIdentity.*FourLanes"
 
   echo "== TSan: four lanes race the first use of the static G tables =="
   cmake --build build-tsan --target crypto_secp256k1_oracle_test -j "$jobs"

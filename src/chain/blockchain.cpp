@@ -11,6 +11,12 @@
 #include "util/thread_pool.hpp"
 
 namespace sc::chain {
+namespace {
+
+/// Historic materializations state_of keeps before dropping the oldest.
+constexpr std::size_t kMaxCachedStates = 8;
+
+}  // namespace
 
 Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
     : telemetry_(tel),
@@ -249,17 +255,9 @@ void Blockchain::drop_sealed() const {
 
 bool Blockchain::SealedTemplate::matches(const Block& block) const {
   const BlockHeader& h = block.header;
-  if (h.prev_id != header.prev_id || h.height != header.height ||
-      h.timestamp != header.timestamp || h.miner != header.miner ||
-      h.merkle_root != header.merkle_root || h.state_root != header.state_root ||
-      block.transactions.size() != signers.size())
-    return false;
-  for (std::size_t i = 0; i < signers.size(); ++i) {
-    const Transaction& tx = block.transactions[i];
-    if (tx.sender_pubkey != signers[i].first || tx.signature != signers[i].second)
-      return false;
-  }
-  return true;
+  return h.prev_id == header.prev_id && h.height == header.height &&
+         h.timestamp == header.timestamp && h.miner == header.miner &&
+         h.merkle_root == header.merkle_root && h.state_root == header.state_root;
 }
 
 bool Blockchain::seal_state_root(Block& block, std::string* why) {
@@ -289,9 +287,6 @@ bool Blockchain::seal_state_root(Block& block, std::string* why) {
     return true;
   }
   sealed.header = block.header;
-  sealed.signers.reserve(block.transactions.size());
-  for (const Transaction& tx : block.transactions)
-    sealed.signers.emplace_back(tx.sender_pubkey, tx.signature);
   sealed_ = std::move(sealed);
   return true;
 }
@@ -324,36 +319,33 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     if (block.header.difficulty != required) return fail("wrong difficulty");
   }
   // Each transaction is hashed once per connect: the ids serve the Merkle
-  // check, batch verification and the tx index, the cache keys serve batch
-  // verification and the per-transaction signature check.
+  // check, the signature cache and the tx index.
   const std::vector<Hash256> tx_ids = block.leaves();
   if (crypto::merkle_root(tx_ids) != block.header.merkle_root)
     return fail("merkle root mismatch");
   // `id` was already computed for the duplicate check; reuse it instead of
   // re-hashing the header inside the PoW check.
   if (!skip_pow && !check_pow(block.header, id)) return fail("invalid proof of work");
-  std::vector<Hash256> sig_keys;
-  sig_keys.reserve(tx_ids.size());
-  for (std::size_t i = 0; i < tx_ids.size(); ++i)
-    sig_keys.push_back(SigCache::key_of(block.transactions[i], tx_ids[i]));
 
   // Batch-verify the body's signatures through the verified-tx cache before
   // the per-transaction structural checks: uncached signatures fan out across
   // the worker pool (inline in sequential mode), successes land in the cache,
   // and every later check of these transactions — the validation loop below,
   // the executor, a competing fork carrying the same tx — is a cache hit.
+  // A high-s signature never becomes a job: left uncached, the check below
+  // refuses it through Transaction::verify_signature.
   {
     std::vector<crypto::VerifyJob> jobs;
-    std::vector<Hash256> job_keys;
+    std::vector<Hash256> job_ids;
     for (std::size_t i = 0; i < tx_ids.size(); ++i) {
-      if (sig_cache_.contains(sig_keys[i])) continue;
       const Transaction& tx = block.transactions[i];
-      jobs.push_back({tx.sender_pubkey, tx_ids[i], tx.signature});
-      job_keys.push_back(sig_keys[i]);
+      if (!tx.signature.is_low_s() || sig_cache_.contains(tx_ids[i])) continue;
+      jobs.push_back({tx.sender_pubkey, tx.signing_hash(), tx.signature});
+      job_ids.push_back(tx_ids[i]);
     }
     const std::vector<bool> ok = crypto::batch_verify(jobs, exec_pool_.get());
     for (std::size_t i = 0; i < ok.size(); ++i)
-      if (ok[i]) sig_cache_.insert(job_keys[i]);
+      if (ok[i]) sig_cache_.insert(job_ids[i]);
     tel.registry
         .counter("chain_sig_batch_verified_total",
                  "Signatures verified by block-level batch pre-validation")
@@ -361,7 +353,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
   }
 
   for (std::size_t i = 0; i < tx_ids.size(); ++i) {
-    const SigVerdict verdict = sig_cache_.check(block.transactions[i], sig_keys[i]);
+    const SigVerdict verdict = sig_cache_.check(block.transactions[i], tx_ids[i]);
     if (verdict == SigVerdict::kInvalid ||
         !validate_transaction_fields(block.transactions[i]))
       return fail("invalid transaction in body");
@@ -579,8 +571,7 @@ const WorldState* Blockchain::state_of(const Hash256& block_id) const {
     delta->apply(state);
   }
 
-  if (state_cfg_.max_cached_states > 0 &&
-      state_cache_.size() >= state_cfg_.max_cached_states) {
+  if (state_cache_.size() >= kMaxCachedStates) {
     state_cache_.erase(state_cache_order_.front());
     state_cache_order_.erase(state_cache_order_.begin());
   }

@@ -57,9 +57,6 @@ struct StateStoreConfig {
   /// (heights divisible by it; genesis is always anchored). Smaller values
   /// trade memory for faster historic materialization.
   std::uint64_t flatten_interval = 32;
-  /// Pruning knob for the historic-state cache filled by `state_of`: oldest
-  /// materializations are dropped beyond this many entries (0 = unbounded).
-  std::size_t max_cached_states = 8;
 };
 
 /// Knobs for block execution (chain/parallel_executor.hpp).
@@ -186,8 +183,8 @@ class Blockchain {
   const WorldState& best_state() const;
   /// Post-state of an arbitrary stored block (nullptr if unknown). Blocks
   /// without a retained snapshot are materialized from the nearest ancestor
-  /// snapshot and cached; pointers into the cache stay valid until
-  /// `max_cached_states` forces eviction of that entry.
+  /// snapshot and cached; pointers into the cache stay valid until eight
+  /// further materializations evict that entry (FIFO).
   const WorldState* state_of(const Hash256& block_id) const;
 
   /// Pointers returned by block, block_at, receipts, delta_of and
@@ -270,7 +267,7 @@ class Blockchain {
   std::size_t block_count() const { return entries_.size(); }
 
   /// Drops every cached historic materialization (the snapshots kept at
-  /// flatten heights stay). Explicit form of the max_cached_states knob.
+  /// flatten heights stay).
   void prune_state_cache() const;
 
   /// All canonical transactions with the given protocol kind, oldest first —
@@ -303,11 +300,9 @@ class Blockchain {
   /// that template's own submit_block. While held, commitment_ sits at the
   /// template's post-state and tip_state_ at the parent's.
   struct SealedTemplate {
-    BlockHeader header;  ///< As stamped; the PoW nonce is never compared.
-    /// Per transaction: Transaction::id() leaves the sender out, so the
-    /// Merkle root alone would let a re-signed body adopt this delta.
-    std::vector<std::pair<crypto::secp256k1::AffinePoint, crypto::secp256k1::Signature>>
-        signers;
+    /// As stamped; the PoW nonce is never compared. Tx ids cover signer and
+    /// signature, so the Merkle root pins the whole body.
+    BlockHeader header;
     StateDelta delta;
     std::vector<Receipt> receipts;
 

@@ -100,7 +100,8 @@ inline TxStatus status_from_outcome(vm::Outcome outcome) {
 /// speculative run that is later discarded never pollutes them);
 /// `journal_depth` gets the high-water nested checkpoint depth (tx mark + VM
 /// snapshots). `sig_cache` (nullable) short-circuits the signature check for
-/// triples already verified at mempool admission or block pre-validation.
+/// tx ids already verified at mempool admission or block pre-validation; the
+/// receipt's tx id is the cache key, so each tx is hashed once here.
 template <class State>
 Receipt execute_transaction(State& state, const BlockEnv& env, const Transaction& tx,
                             telemetry::Telemetry* tel, std::size_t& journal_depth,
@@ -109,7 +110,7 @@ Receipt execute_transaction(State& state, const BlockEnv& env, const Transaction
   receipt.tx_id = tx.id();
 
   std::string why;
-  if (!validate_transaction(tx, sig_cache, &why)) {
+  if (!validate_transaction(tx, receipt.tx_id, sig_cache, &why)) {
     receipt.error = why;
     return receipt;
   }

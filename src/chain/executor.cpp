@@ -44,16 +44,17 @@ std::string_view to_string(TxStatus status) {
 }
 
 bool validate_transaction(const Transaction& tx, std::string* why) {
-  return validate_transaction(tx, nullptr, why);
+  // Without a cache the id is never read, so skip hashing it.
+  return validate_transaction(tx, Hash256{}, nullptr, why);
 }
 
-bool validate_transaction(const Transaction& tx, SigCache* sig_cache,
+bool validate_transaction(const Transaction& tx, const Hash256& id, SigCache* sig_cache,
                           std::string* why, SigVerdict* verdict) {
   auto fail = [&](const char* msg) {
     if (why) *why = msg;
     return false;
   };
-  const SigVerdict sig = check_signature(tx, sig_cache);
+  const SigVerdict sig = check_signature(tx, id, sig_cache);
   if (verdict) *verdict = sig;
   if (sig == SigVerdict::kInvalid) return fail("bad signature");
   return validate_transaction_fields(tx, why);

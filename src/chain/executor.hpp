@@ -65,12 +65,13 @@ enum class SigVerdict : std::uint8_t;
 bool validate_transaction(const Transaction& tx, std::string* why = nullptr);
 
 /// Cache-aware variant: the signature check consults (and on a fresh verify
-/// feeds) `sig_cache`, so a signature seen at mempool admission or block
-/// pre-validation is never re-verified here. `verdict`, when given, reports
-/// how the signature check was satisfied (cache hit / verified / invalid) —
-/// the mempool uses it for its sig-cache hit counter. Both out-params are
-/// optional; a nullptr cache degrades to the plain overload.
-bool validate_transaction(const Transaction& tx, SigCache* sig_cache,
+/// feeds) `sig_cache` under `id` (== tx.id(), computed once by the caller),
+/// so a signature seen at mempool admission or block pre-validation is never
+/// re-verified here. `verdict`, when given, reports how the signature check
+/// was satisfied (cache hit / verified / invalid) — the mempool uses it for
+/// its sig-cache hit counter. Both out-params are optional; a nullptr cache
+/// degrades to the plain overload.
+bool validate_transaction(const Transaction& tx, const Hash256& id, SigCache* sig_cache,
                           std::string* why = nullptr,
                           SigVerdict* verdict = nullptr);
 

@@ -25,9 +25,11 @@ void Mempool::update_depth_gauge() {
 }
 
 bool Mempool::add(const Transaction& tx, std::string* why) {
+  // One hash serves the signature cache and the pool's dedup key.
+  const Hash256 id = tx.id();
   std::string reason;
   SigVerdict sig_verdict = SigVerdict::kVerified;
-  if (!validate_transaction(tx, sig_cache_, &reason, &sig_verdict))
+  if (!validate_transaction(tx, id, sig_cache_, &reason, &sig_verdict))
     return reject("invalid", why, reason);
   if (sig_verdict == SigVerdict::kCacheHit) {
     telemetry::resolve(telemetry_)
@@ -39,7 +41,6 @@ bool Mempool::add(const Transaction& tx, std::string* why) {
   if (gate_ && !gate_(tx, reason))
     return reject("gate", why,
                   reason.empty() ? "rejected by admission gate" : reason);
-  const Hash256 id = tx.id();
   if (pool_.contains(id)) return reject("duplicate", why, "duplicate");
 
   if (capacity_ != 0 && pool_.size() >= capacity_) {

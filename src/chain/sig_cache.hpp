@@ -3,13 +3,13 @@
 // A transaction's signature is verified at mempool admission, again by the
 // per-transaction structural check during block validation, and (before this
 // cache) once more by the executor — three ECDSA verifications for one tx,
-// each costing two scalar multiplications. The cache remembers "this exact
-// (tx id, pubkey, signature) triple verified" so each signature is checked
-// once per process, the bitcoind sigcache technique.
+// each costing two scalar multiplications. The cache remembers "the tx with
+// this id verified" so each signature is checked once per process, the
+// bitcoind sigcache technique.
 //
-// The key commits to the *whole* triple, not just the tx id: the id hashes
-// only the signed body, so a forged signature over a known body must not
-// inherit a cache hit earned by the genuine one.
+// The key is the tx id itself: Transaction::id() hashes the full signed
+// encoding, so a forged signature over a known body has its own id and can
+// never inherit a hit earned by the genuine transaction.
 //
 // Thread-safe (mutex around the set; the expensive verification itself runs
 // outside the lock) and bounded: insertion beyond capacity evicts in FIFO
@@ -41,20 +41,14 @@ class SigCache {
   SigCache(const SigCache&) = delete;
   SigCache& operator=(const SigCache&) = delete;
 
-  /// Cache key: keccak(tx id || pubkey || signature).
-  static Hash256 key_of(const Transaction& tx);
-  /// Same key from an already-computed `id` (== tx.id()).
-  static Hash256 key_of(const Transaction& tx, const Hash256& id);
+  bool contains(const Hash256& id) const;
+  /// Marks a tx id as verified (evicting the oldest entry when full).
+  void insert(const Hash256& id);
 
-  bool contains(const Hash256& key) const;
-  /// Marks a key as verified (evicting the oldest entry when full).
-  void insert(const Hash256& key);
-
-  /// Checks the cache, falling back to a full verification on miss; a fresh
-  /// success is inserted so every later check of the same triple hits.
-  SigVerdict check(const Transaction& tx);
-  /// Same check with the key already computed (== key_of(tx)).
-  SigVerdict check(const Transaction& tx, const Hash256& key);
+  /// Checks the cache for `id` (== tx.id()), falling back to a full
+  /// verification on miss; a fresh success is inserted so every later check
+  /// of the same transaction hits.
+  SigVerdict check(const Transaction& tx, const Hash256& id);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -70,14 +64,14 @@ class SigCache {
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::unordered_set<Hash256> keys_;
-  std::deque<Hash256> order_;  ///< FIFO eviction queue, parallel to keys_.
+  std::unordered_set<Hash256> ids_;
+  std::deque<Hash256> order_;  ///< FIFO eviction queue, parallel to ids_.
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
-/// Cache-aware signature check; a nullptr cache degrades to a plain
-/// verification (kVerified / kInvalid).
-SigVerdict check_signature(const Transaction& tx, SigCache* cache);
+/// Cache-aware signature check (`id` == tx.id()); a nullptr cache degrades
+/// to a plain verification (kVerified / kInvalid).
+SigVerdict check_signature(const Transaction& tx, const Hash256& id, SigCache* cache);
 
 }  // namespace sc::chain

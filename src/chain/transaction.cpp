@@ -20,18 +20,21 @@ util::Bytes Transaction::body_bytes() const {
   return std::move(w).take();
 }
 
-Hash256 Transaction::id() const { return crypto::keccak256(body_bytes()); }
+Hash256 Transaction::signing_hash() const { return crypto::keccak256(body_bytes()); }
+
+Hash256 Transaction::id() const { return crypto::keccak256(encode()); }
 
 Address Transaction::sender() const { return crypto::address_of(sender_pubkey); }
 
 void Transaction::sign_with(const crypto::KeyPair& key) {
   sender_pubkey = key.public_key();
-  signature = key.sign(id());
+  signature = key.sign(signing_hash());
 }
 
 bool Transaction::verify_signature() const {
+  if (!signature.is_low_s()) return false;
   if (sender_pubkey.infinity || !sender_pubkey.is_on_curve()) return false;
-  return crypto::verify_signature(sender_pubkey, id(), signature);
+  return crypto::verify_signature(sender_pubkey, signing_hash(), signature);
 }
 
 util::Bytes Transaction::encode() const {

@@ -50,13 +50,16 @@ struct Transaction {
 
   /// Canonical serialization of the signed body (excludes pubkey/signature).
   util::Bytes body_bytes() const;
-  /// Transaction id: Keccak-256 of the signed body.
+  /// Digest the signature covers: Keccak-256 of the body.
+  Hash256 signing_hash() const;
+  /// Transaction id: Keccak-256 of encode(), so it commits to the signer and
+  /// the signature. verify_signature's low-s rule makes it unique per tx.
   Hash256 id() const;
   /// Sender account: address of the attached public key.
   Address sender() const;
-  /// Signs the body with `key` and attaches pubkey + signature.
+  /// Signs signing_hash() with `key` and attaches pubkey + signature.
   void sign_with(const crypto::KeyPair& key);
-  /// Signature + on-curve + well-formedness check.
+  /// Signature + on-curve + well-formedness check; high-s is invalid.
   bool verify_signature() const;
 
   /// Maximum neth the sender must hold to submit: value + gas_limit·price.

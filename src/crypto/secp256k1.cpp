@@ -570,11 +570,13 @@ Signature sign(const U256& d, const Hash256& z) {
     if (s.is_zero()) continue;
     // Low-s normalisation: (r, s) and (r, n-s) are both valid; pick the
     // canonical one so signatures are unique (malleability defence).
-    const U256 half_n = kN >> 1;
-    if (s > half_n) s = kN - s;
-    return {r.to_u256(), s};
+    Signature sig{r.to_u256(), s};
+    if (!sig.is_low_s()) sig.s = kN - s;
+    return sig;
   }
 }
+
+bool Signature::is_low_s() const { return s <= (kN >> 1); }
 
 bool verify(const AffinePoint& pub, const Hash256& z, const Signature& sig) {
   if (pub.infinity || !pub.is_on_curve()) return false;

@@ -311,6 +311,9 @@ struct Signature {
 
   bool operator==(const Signature&) const = default;
 
+  /// s <= n/2, the form sign() produces; (r, n-s) verifies too.
+  bool is_low_s() const;
+
   /// 64-byte r||s big-endian encoding.
   util::Bytes encode() const;
   static std::optional<Signature> decode(util::ByteSpan data);

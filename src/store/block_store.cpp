@@ -23,14 +23,16 @@ constexpr std::uint8_t kRecordMeta = 0x01;
 constexpr std::uint8_t kRecordBlock = 0x02;
 constexpr std::uint8_t kRecordIndex = 0x7F;
 // v1: original block log. v2: BlockHeader carries state_root (wire layout of
-// every embedded header changed), so v1 logs are rejected up front with a
-// clear version error instead of failing deep inside block decoding.
-constexpr std::uint32_t kFormatVersion = 2;
+// every embedded header changed). v3: tx ids hash the signed encoding, so
+// every stored Merkle root changed. Older logs are rejected up front with a
+// clear version error instead of failing deep inside block validation.
+constexpr std::uint32_t kFormatVersion = 3;
 
 std::string format_version_error(const std::string& dir, std::uint32_t found) {
   return dir + ": unsupported store format version " + std::to_string(found) +
          " (this build reads version " + std::to_string(kFormatVersion) +
-         "; v2 added state_root to block headers — re-sync or migrate)";
+         "; v3 tx ids commit to the signer, changing every Merkle root — "
+         "re-sync or migrate)";
 }
 
 bool set_why(std::string* why, std::string msg) {

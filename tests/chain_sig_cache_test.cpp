@@ -1,7 +1,7 @@
 // Verified-signature cache + batched verification: each signature is ECDSA-
-// checked once per process, forged signatures over known bodies never inherit
-// a hit, eviction is bounded and FIFO, and the mempool/blockchain integration
-// counts its hits.
+// checked once per process, a forged signature over a known body has its own
+// tx id and never inherits a hit, eviction is bounded and FIFO, and the
+// mempool/blockchain integration counts its hits.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -39,8 +39,8 @@ Transaction transfer(const crypto::KeyPair& from, const Address& to,
 TEST(SigCache, SecondCheckOfSameTripleIsAHit) {
   SigCache cache;
   const Transaction tx = transfer(key(1), key(2).address(), 100, 0);
-  EXPECT_EQ(cache.check(tx), SigVerdict::kVerified);
-  EXPECT_EQ(cache.check(tx), SigVerdict::kCacheHit);
+  EXPECT_EQ(cache.check(tx, tx.id()), SigVerdict::kVerified);
+  EXPECT_EQ(cache.check(tx, tx.id()), SigVerdict::kCacheHit);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -51,25 +51,28 @@ TEST(SigCache, ForgedSignatureOverKnownBodyDoesNotInheritHit) {
   const auto alice = key(1);
   const auto mallory = key(66);
   Transaction genuine = transfer(alice, key(2).address(), 100, 0);
-  EXPECT_EQ(cache.check(genuine), SigVerdict::kVerified);
+  EXPECT_EQ(cache.check(genuine, genuine.id()), SigVerdict::kVerified);
 
-  // Same signed body (same tx id), but the signature was produced by a
-  // different key: the cache key commits to the whole triple, so this is a
-  // miss, and the full verification rejects it.
+  // Same signed body, but the signature was produced by a different key: the
+  // tx id covers the signature, so the forgery has its own id, misses, and
+  // the full verification rejects it.
   Transaction forged = genuine;
-  forged.signature = mallory.sign(forged.id());
-  ASSERT_EQ(forged.id(), genuine.id());
-  EXPECT_EQ(cache.check(forged), SigVerdict::kInvalid);
-  // The failure is not cached either: the genuine triple still hits.
-  EXPECT_EQ(cache.check(genuine), SigVerdict::kCacheHit);
+  forged.signature = mallory.sign(forged.signing_hash());
+  ASSERT_EQ(forged.signing_hash(), genuine.signing_hash());
+  ASSERT_NE(forged.id(), genuine.id());
+  EXPECT_EQ(cache.check(forged, forged.id()), SigVerdict::kInvalid);
+  EXPECT_FALSE(cache.contains(forged.id()));
+  EXPECT_EQ(cache.size(), 1u);
+  // The genuine transaction still hits.
+  EXPECT_EQ(cache.check(genuine, genuine.id()), SigVerdict::kCacheHit);
 }
 
 TEST(SigCache, InvalidSignatureIsNeverCached) {
   SigCache cache;
   Transaction tx = transfer(key(1), key(2).address(), 100, 0);
   tx.signature.r = tx.signature.r + crypto::U256(1);  // Corrupt.
-  EXPECT_EQ(cache.check(tx), SigVerdict::kInvalid);
-  EXPECT_EQ(cache.check(tx), SigVerdict::kInvalid);
+  EXPECT_EQ(cache.check(tx, tx.id()), SigVerdict::kInvalid);
+  EXPECT_EQ(cache.check(tx, tx.id()), SigVerdict::kInvalid);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -79,21 +82,21 @@ TEST(SigCache, EvictionIsBoundedAndFifo) {
   const Transaction t0 = transfer(alice, key(2).address(), 1, 0);
   const Transaction t1 = transfer(alice, key(2).address(), 1, 1);
   const Transaction t2 = transfer(alice, key(2).address(), 1, 2);
-  cache.insert(SigCache::key_of(t0));
-  cache.insert(SigCache::key_of(t1));
-  cache.insert(SigCache::key_of(t2));  // Evicts t0 (oldest).
+  cache.insert(t0.id());
+  cache.insert(t1.id());
+  cache.insert(t2.id());  // Evicts t0 (oldest).
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.contains(SigCache::key_of(t0)));
-  EXPECT_TRUE(cache.contains(SigCache::key_of(t1)));
-  EXPECT_TRUE(cache.contains(SigCache::key_of(t2)));
+  EXPECT_FALSE(cache.contains(t0.id()));
+  EXPECT_TRUE(cache.contains(t1.id()));
+  EXPECT_TRUE(cache.contains(t2.id()));
 }
 
 TEST(SigCache, NullCacheDegradesToPlainVerification) {
   const Transaction good = transfer(key(1), key(2).address(), 1, 0);
   Transaction bad = good;
   bad.signature.s = bad.signature.s + crypto::U256(1);
-  EXPECT_EQ(check_signature(good, nullptr), SigVerdict::kVerified);
-  EXPECT_EQ(check_signature(bad, nullptr), SigVerdict::kInvalid);
+  EXPECT_EQ(check_signature(good, good.id(), nullptr), SigVerdict::kVerified);
+  EXPECT_EQ(check_signature(bad, bad.id(), nullptr), SigVerdict::kInvalid);
 }
 
 TEST(BatchVerify, MixedBatchReportsPerJobResults) {
@@ -102,7 +105,7 @@ TEST(BatchVerify, MixedBatchReportsPerJobResults) {
   for (int i = 0; i < 12; ++i) {
     Transaction tx = transfer(key(100 + i), key(2).address(), 1, 0);
     if (i % 3 == 0) tx.signature.r = tx.signature.r + crypto::U256(1);  // Every third job is corrupt.
-    jobs.push_back({tx.sender_pubkey, tx.id(), tx.signature});
+    jobs.push_back({tx.sender_pubkey, tx.signing_hash(), tx.signature});
     expected.push_back(i % 3 != 0);
   }
   // Inline (no pool) and pooled sharding must agree exactly.
@@ -117,7 +120,7 @@ TEST(BatchVerify, OffCurveKeyFailsCleanly) {
   Transaction tx = transfer(key(1), key(2).address(), 1, 0);
   tx.sender_pubkey.x = tx.sender_pubkey.x + crypto::U256(1);  // No longer on the curve.
   const auto ok =
-      crypto::batch_verify({{tx.sender_pubkey, tx.id(), tx.signature}}, nullptr);
+      crypto::batch_verify({{tx.sender_pubkey, tx.signing_hash(), tx.signature}}, nullptr);
   ASSERT_EQ(ok.size(), 1u);
   EXPECT_FALSE(ok[0]);
 }

@@ -36,8 +36,7 @@ TEST(StateCacheCounters, HitAndMissAccounting) {
   const auto alice = crypto::KeyPair::generate(rng);
   const auto miner = crypto::KeyPair::generate(rng);
   GenesisConfig genesis{{{alice.address(), 10 * kEther}}, 0, 1};
-  genesis.state_store.flatten_interval = 4;
-  genesis.state_store.max_cached_states = 2;
+  genesis.state_store.flatten_interval = 16;
 
   telemetry::Telemetry tel;
   Blockchain chain(genesis, &tel);
@@ -45,7 +44,7 @@ TEST(StateCacheCounters, HitAndMissAccounting) {
   auto& misses = tel.registry.counter("chain_state_cache_miss_total", kMissHelp);
 
   std::vector<Hash256> ids{chain.genesis_id()};
-  for (std::uint64_t h = 1; h <= 10; ++h) {
+  for (std::uint64_t h = 1; h <= 20; ++h) {
     Block block = empty_block(chain, ids.back(), h, miner.address());
     std::string why;
     ASSERT_TRUE(chain.submit_block(block, &why, true)) << why;
@@ -54,8 +53,8 @@ TEST(StateCacheCounters, HitAndMissAccounting) {
   EXPECT_EQ(hits.value(), 0u);
   EXPECT_EQ(misses.value(), 0u);
 
-  // Height 8 sits on a flatten boundary: retained snapshot -> hit.
-  ASSERT_NE(chain.state_of(ids[8]), nullptr);
+  // Height 16 sits on a flatten boundary: retained snapshot -> hit.
+  ASSERT_NE(chain.state_of(ids[16]), nullptr);
   EXPECT_EQ(hits.value(), 1u);
   EXPECT_EQ(misses.value(), 0u);
 
@@ -68,13 +67,12 @@ TEST(StateCacheCounters, HitAndMissAccounting) {
   EXPECT_EQ(hits.value(), 2u);
   EXPECT_EQ(misses.value(), 1u);
 
-  // Two more materializations (heights 6, 7) evict height 5 from the
-  // 2-entry cache; looking it up again is a miss again.
-  ASSERT_NE(chain.state_of(ids[6]), nullptr);
-  ASSERT_NE(chain.state_of(ids[7]), nullptr);
-  EXPECT_EQ(misses.value(), 3u);
+  // Eight more materializations (heights 6..13) evict height 5 from the
+  // 8-entry cache; looking it up again is a miss again.
+  for (std::uint64_t h = 6; h <= 13; ++h) ASSERT_NE(chain.state_of(ids[h]), nullptr);
+  EXPECT_EQ(misses.value(), 9u);
   ASSERT_NE(chain.state_of(ids[5]), nullptr);
-  EXPECT_EQ(misses.value(), 4u);
+  EXPECT_EQ(misses.value(), 10u);
   EXPECT_EQ(hits.value(), 2u);
 
   // Unknown block: neither counter moves.
@@ -82,14 +80,14 @@ TEST(StateCacheCounters, HitAndMissAccounting) {
   unknown.bytes.fill(0xEE);
   EXPECT_EQ(chain.state_of(unknown), nullptr);
   EXPECT_EQ(hits.value(), 2u);
-  EXPECT_EQ(misses.value(), 4u);
+  EXPECT_EQ(misses.value(), 10u);
 
   // prune_state_cache drops cached materializations: hit turns into miss.
   ASSERT_NE(chain.state_of(ids[5]), nullptr);
   EXPECT_EQ(hits.value(), 3u);
   chain.prune_state_cache();
   ASSERT_NE(chain.state_of(ids[5]), nullptr);
-  EXPECT_EQ(misses.value(), 5u);
+  EXPECT_EQ(misses.value(), 11u);
 }
 
 }  // namespace

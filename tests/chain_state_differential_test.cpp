@@ -203,7 +203,6 @@ TEST(StateDifferential, BlockchainMatchesShadowCopyStatesAcrossReorgs) {
                         0,
                         1};
   genesis.state_store.flatten_interval = 4;  // exercise snapshot + replay paths
-  genesis.state_store.max_cached_states = 3;
   Blockchain chain(genesis);
 
   struct Shadow {

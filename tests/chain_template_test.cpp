@@ -1,11 +1,11 @@
 // A block the chain sealed itself (build_block_template) is executed and
 // trie-hashed once: its own submit_block adopts the held delta and receipts.
 // The adopted connect must be byte-identical to a plain re-executing connect,
-// a block that differs from the template in anything execution depends on —
-// signers, stamped root — must take the execute path, and every commitment
-// read or competing connect in between must see the parent's trie. (A
-// commitment read also drops the held template, so tests that count
-// adoptions read the chain before sealing.)
+// a block that differs from the template in its stamped root must take the
+// execute path, one with re-signed transactions fails its Merkle root before
+// any execution, and every commitment read or competing connect in between
+// must see the parent's trie. (A commitment read also drops the held
+// template, so tests that count adoptions read the chain before sealing.)
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -265,31 +265,40 @@ Block sealed_transfers(Blockchain& chain, const crypto::KeyPair& from) {
   return chain.build_block_template(key(999).address(), 1000, 1, std::move(txs));
 }
 
-// Transaction ids leave the sender out, so a body re-signed by another funded
-// key has the same ids and Merkle root as the template. It must not inherit
-// the template's delta: re-executed, it lands on another root and is refused.
-TEST(ChainTemplate, ResignedBodyIsReexecutedAndRejected) {
+// Transaction ids cover the signer, so a body re-signed by another funded key
+// changes every id and with them the Merkle root: the block is refused before
+// anything executes, the held template survives, and the genuine block still
+// adopts it.
+TEST(ChainTemplate, ResignedBodyIsRejectedBeforeExecution) {
   telemetry::Telemetry tel;
   Blockchain chain(funded_genesis(), &tel);
   const auto alice = key(600);
   const auto mallory = key(601);
   const ChainView before(chain);  // Read first: reads drop a held template.
   const Block genuine = sealed_transfers(chain, alice);
+  const double executed = counter_total(tel, "chain_tx_total");
 
   Block forged = genuine;
   for (Transaction& tx : forged.transactions) tx.sign_with(mallory);
-  ASSERT_EQ(forged.compute_merkle_root(), genuine.header.merkle_root);
-  ASSERT_EQ(forged.transactions[0].id(), genuine.transactions[0].id());
+  ASSERT_EQ(forged.transactions[0].signing_hash(),
+            genuine.transactions[0].signing_hash());
+  ASSERT_NE(forged.transactions[0].id(), genuine.transactions[0].id());
+  ASSERT_NE(forged.compute_merkle_root(), genuine.header.merkle_root);
 
   std::string why;
   EXPECT_FALSE(chain.submit_block(forged, &why, true));
-  EXPECT_EQ(why, "state root mismatch");
-  EXPECT_TRUE(ChainView(chain) == before);
-  EXPECT_EQ(counter_total(tel, "chain_template_connects_total", "reexecuted"), 1.0);
-  EXPECT_EQ(counter_total(tel, "chain_template_connects_total", "adopted"), 0.0);
+  EXPECT_EQ(why, "merkle root mismatch");
+  // Only accessors that leave the template held.
+  EXPECT_EQ(chain.best_head(), before.head);
+  EXPECT_EQ(chain.block_count(), before.blocks);
+  EXPECT_EQ(chain.best_state().encode(), before.state);
+  EXPECT_EQ(counter_total(tel, "chain_tx_total"), executed);
+  EXPECT_EQ(counter_total(tel, "chain_template_connects_total"), 0.0);
 
-  // The genuine block still connects (executing: the template was dropped).
   ASSERT_TRUE(chain.submit_block(genuine, &why, true)) << why;
+  EXPECT_EQ(counter_total(tel, "chain_template_connects_total", "adopted"), 1.0);
+  EXPECT_EQ(counter_total(tel, "chain_template_connects_total", "reexecuted"), 0.0);
+  EXPECT_EQ(counter_total(tel, "chain_tx_total"), executed);
   EXPECT_EQ(chain.state_root(), genuine.header.state_root);
   EXPECT_EQ(chain.state_root(), StateCommitment::root_of(chain.best_state()));
 }

@@ -372,37 +372,42 @@ TEST(StoreChain, SnapshotsStayOnDiskOnly) {
 }
 
 TEST(StoreChain, OldFormatLogIsRejectedWithVersionError) {
-  // A pre-state-root (version 1) log must fail open() with a message naming
-  // both the found and the supported format — never a generic corruption
-  // report, and never a silent re-initialization of the directory.
-  TempDir dir;
-  const std::string store_dir = dir.sub("store");
-  std::filesystem::create_directory(store_dir);
-  const GenesisConfig genesis = test_genesis();
-  {
-    // Hand-write a v1 meta record: u8 kind(0x01) | u32 version(1) | genesis.
-    const Hash256 genesis_id = Blockchain(genesis).genesis_id();
-    auto opened =
-        store::RecordLog::open(store_dir + "/blocks.log", false, nullptr);
-    ASSERT_TRUE(opened.has_value() && opened->log);
-    util::Writer w;
-    w.u8(0x01);
-    w.u32(1);
-    w.raw(genesis_id.span());
-    ASSERT_TRUE(opened->log->append(std::move(w).take()).has_value());
-    ASSERT_TRUE(opened->log->sync());
+  // A pre-state-root (version 1) or signer-blind tx id (version 2) log must
+  // fail open() with a message naming both the found and the supported
+  // format — never a generic corruption report, and never a silent
+  // re-initialization of the directory.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    TempDir dir;
+    const std::string store_dir = dir.sub("store");
+    std::filesystem::create_directory(store_dir);
+    const GenesisConfig genesis = test_genesis();
+    {
+      // Hand-write an old meta record: u8 kind(0x01) | u32 version | genesis.
+      const Hash256 genesis_id = Blockchain(genesis).genesis_id();
+      auto opened =
+          store::RecordLog::open(store_dir + "/blocks.log", false, nullptr);
+      ASSERT_TRUE(opened.has_value() && opened->log);
+      util::Writer w;
+      w.u8(0x01);
+      w.u32(old_version);
+      w.raw(genesis_id.span());
+      ASSERT_TRUE(opened->log->append(std::move(w).take()).has_value());
+      ASSERT_TRUE(opened->log->sync());
+    }
+    Blockchain chain(genesis);
+    std::string why;
+    ASSERT_FALSE(chain.open(store_dir, {}, &why));
+    EXPECT_NE(why.find("unsupported store format version " +
+                       std::to_string(old_version)),
+              std::string::npos)
+        << why;
+    EXPECT_NE(why.find("version 3"), std::string::npos) << why;
+    EXPECT_FALSE(chain.persistent());
+    // The old log is left intact for offline migration: same failure on retry.
+    std::string again;
+    EXPECT_FALSE(Blockchain(genesis).open(store_dir, {}, &again));
+    EXPECT_EQ(again, why);
   }
-  Blockchain chain(genesis);
-  std::string why;
-  ASSERT_FALSE(chain.open(store_dir, {}, &why));
-  EXPECT_NE(why.find("unsupported store format version 1"), std::string::npos)
-      << why;
-  EXPECT_NE(why.find("version 2"), std::string::npos) << why;
-  EXPECT_FALSE(chain.persistent());
-  // The old log is left intact for offline migration: same failure on retry.
-  std::string again;
-  EXPECT_FALSE(Blockchain(genesis).open(store_dir, {}, &again));
-  EXPECT_EQ(again, why);
 }
 
 
