@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: regular build + tests, the ASan/UBSan suite, the
-# parallel miner, executor and secp256k1 table build under TSan, and a
-# static-analysis pass over the SmartCrowd contract. Mirrors what CI should run on every change.
+# parallel miner, executor, secp256k1 table build and telemetry handles under
+# TSan, and a static-analysis pass over the SmartCrowd contract. Mirrors what
+# CI should run on every change.
 #
 #   scripts/check.sh            # everything
 #   SKIP_TSAN=1 scripts/check.sh  # skip the thread-sanitizer stage
@@ -110,6 +111,11 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: four lanes race the first use of the static G tables =="
   cmake --build build-tsan --target crypto_secp256k1_oracle_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R FourLanesRaceTheFirstTableUse
+
+  echo "== TSan: sharded counters + four threads racing the first handles<H>() =="
+  cmake --build build-tsan --target telemetry_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure \
+    -R "ConcurrentAddsAreLossless|FourThreadsRaceTheFirstHandlesCall"
 
   echo "== TSan: crash/restart + pull-sync node tests =="
   cmake --build build-tsan --target core_node_test -j "$jobs"

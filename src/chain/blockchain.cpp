@@ -18,8 +18,58 @@ constexpr std::size_t kMaxCachedStates = 8;
 
 }  // namespace
 
+struct Blockchain::Metrics {
+  static constexpr std::string_view kTemplateOutcomes[] = {"adopted", "reexecuted"};
+  telemetry::Registry& r;
+  telemetry::Counter& flattens =
+      r.counter("chain_delta_flattens_total",
+                "Full state snapshots taken at flatten-interval heights");
+  telemetry::Gauge& snapshot_bytes =
+      r.gauge("state_snapshot_bytes",
+              "Approximate retained bytes of all full state snapshots");
+  telemetry::Histogram& root_update =
+      r.histogram("state_root_update_seconds",
+                  "Wall time of the incremental state-root update per connected block",
+                  telemetry::HistogramSpec::latency_seconds());
+  telemetry::Counter& sig_batch_verified =
+      r.counter("chain_sig_batch_verified_total",
+                "Signatures verified by block-level batch pre-validation");
+  telemetry::Counter& sig_cache_hits =
+      r.counter("chain_sig_cache_hits_total",
+                "Block-validation signature checks satisfied by the verified-tx cache");
+  telemetry::CounterVec<2> template_connects{  // [adopted ? 0 : 1]
+      r, "chain_template_connects_total",
+      "Connects that found a sealed template held: adopted its result, or "
+      "executed the block themselves",
+      "outcome", [](std::size_t i) { return kTemplateOutcomes[i]; }};
+  telemetry::Counter& store_degraded =
+      r.counter("chain_store_degraded_total",
+                "Chains that fell back to RAM-only after a store write failure");
+  telemetry::Counter& blocks_connected =
+      r.counter("chain_blocks_connected_total", "Blocks validated and stored");
+  telemetry::Counter& reorgs =
+      r.counter("chain_reorgs_total", "Canonical head switches to a competing fork");
+  telemetry::Counter& reorged_blocks = r.counter(
+      "chain_reorged_blocks_total", "Blocks abandoned by canonical head switches");
+  telemetry::Gauge& accounts =
+      r.gauge("state_accounts", "Accounts in the canonical-head state");
+  telemetry::Gauge& trie_nodes =
+      r.gauge("state_trie_nodes",
+              "Nodes (leaves + branches) across the account and storage "
+              "commitment tries");
+  telemetry::Counter& state_cache_hits =
+      r.counter("chain_state_cache_hit_total",
+                "state_of lookups served by a retained snapshot or cached "
+                "materialization");
+  telemetry::Counter& state_cache_misses =
+      r.counter("chain_state_cache_miss_total",
+                "state_of lookups that had to materialize from an ancestor snapshot "
+                "by delta replay");
+};
+
 Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
     : telemetry_(tel),
+      metrics_(telemetry::resolve(tel).handles<Metrics>()),
       state_cfg_(genesis.state_store),
       deep_verify_(genesis.deep_verify),
       dynamic_difficulty_(genesis.dynamic_difficulty) {
@@ -126,15 +176,8 @@ void Blockchain::flatten_into(Entry& entry) {
     entry.snapshot = std::make_unique<WorldState>(tip_state_);
     snapshot_bytes_ += entry.snapshot->approx_bytes();
   }
-  auto& tel = telemetry::resolve(telemetry_);
-  tel.registry
-      .counter("chain_delta_flattens_total",
-               "Full state snapshots taken at flatten-interval heights")
-      .inc();
-  tel.registry
-      .gauge("state_snapshot_bytes",
-             "Approximate retained bytes of all full state snapshots")
-      .set(static_cast<double>(snapshot_bytes_));
+  metrics_.flattens.inc();
+  metrics_.snapshot_bytes.set(static_cast<double>(snapshot_bytes_));
 }
 
 bool Blockchain::move_tip_to(const Hash256& target) {
@@ -236,13 +279,7 @@ void Blockchain::roll_commitment(const StateDelta& delta) {
   const auto t0 = std::chrono::steady_clock::now();
   commitment_.update(delta, tip_state_);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
-  telemetry::resolve(telemetry_)
-      .registry
-      .histogram("state_root_update_seconds",
-                 "Wall time of the incremental state-root update per "
-                 "connected block",
-                 telemetry::HistogramSpec::latency_seconds())
-      .observe(elapsed.count());
+  metrics_.root_update.observe(elapsed.count());
 }
 
 void Blockchain::drop_sealed() const {
@@ -292,8 +329,8 @@ bool Blockchain::seal_state_root(Block& block, std::string* why) {
 }
 
 bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_pow) {
-  auto& tel = telemetry::resolve(telemetry_);
-  const auto connect_span = tel.tracer.span("chain.block_connect");
+  const auto connect_span =
+      telemetry::resolve(telemetry_).tracer.span("chain.block_connect");
 
   auto fail = [&](const char* msg) {
     if (why) *why = msg;
@@ -346,10 +383,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     const std::vector<bool> ok = crypto::batch_verify(jobs, exec_pool_.get());
     for (std::size_t i = 0; i < ok.size(); ++i)
       if (ok[i]) sig_cache_.insert(job_ids[i]);
-    tel.registry
-        .counter("chain_sig_batch_verified_total",
-                 "Signatures verified by block-level batch pre-validation")
-        .add(jobs.size());
+    metrics_.sig_batch_verified.add(jobs.size());
   }
 
   for (std::size_t i = 0; i < tx_ids.size(); ++i) {
@@ -357,13 +391,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     if (verdict == SigVerdict::kInvalid ||
         !validate_transaction_fields(block.transactions[i]))
       return fail("invalid transaction in body");
-    if (verdict == SigVerdict::kCacheHit) {
-      tel.registry
-          .counter("chain_sig_cache_hits_total",
-                   "Block-validation signature checks satisfied by the "
-                   "verified-tx cache")
-          .inc();
-    }
+    if (verdict == SigVerdict::kCacheHit) metrics_.sig_cache_hits.inc();
   }
 
   Entry entry;
@@ -373,14 +401,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
   entry.arrival_order = arrival_counter_++;
 
   const bool adopt = sealed_ && sealed_->matches(block);
-  if (sealed_) {
-    tel.registry
-        .counter("chain_template_connects_total",
-                 "Connects that found a sealed template held: adopted its "
-                 "result, or executed the block themselves",
-                 {{"outcome", adopt ? "adopted" : "reexecuted"}})
-        .inc();
-  }
+  if (sealed_) metrics_.template_connects[adopt ? 0 : 1].inc();
   if (adopt) {
     // Our own template: tip_state_ is the parent's post-state and the trie
     // already sits at this block's, so applying the held delta completes the
@@ -420,11 +441,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
       !store_->append_block(block, entry.delta, why)) {
     if (store_->read_only()) {
       store_degraded_ = true;
-      tel.registry
-          .counter("chain_store_degraded_total",
-                   "Chains that fell back to RAM-only after a store write "
-                   "failure")
-          .inc();
+      metrics_.store_degraded.inc();
       if (why) why->clear();
     } else {
       entry.delta.unapply(tip_state_);
@@ -442,9 +459,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
       entry.cumulative_difficulty > current_best.cumulative_difficulty;
   entries_.emplace(id, std::move(entry));
   if (store_ && !store_degraded_) resident_by_height_[block.header.height].push_back(id);
-  tel.registry
-      .counter("chain_blocks_connected_total", "Blocks validated and stored")
-      .inc();
+  metrics_.blocks_connected.inc();
   if (better) {
     const Hash256 old_head = best_head_;
     best_head_ = id;
@@ -459,13 +474,8 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
       reindex_canonical();
       const std::uint64_t depth = reorg_depth(old_head);
       if (depth > 0) {
-        tel.registry
-            .counter("chain_reorgs_total", "Canonical head switches to a competing fork")
-            .inc();
-        tel.registry
-            .counter("chain_reorged_blocks_total",
-                     "Blocks abandoned by canonical head switches")
-            .add(depth);
+        metrics_.reorgs.inc();
+        metrics_.reorged_blocks.add(depth);
       }
     }
   } else {
@@ -481,22 +491,12 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
       !store_->write_tip(best_height(), best_head_, why)) {
     if (!store_->read_only()) return false;
     store_degraded_ = true;
-    tel.registry
-        .counter("chain_store_degraded_total",
-                 "Chains that fell back to RAM-only after a store write "
-                 "failure")
-        .inc();
+    metrics_.store_degraded.inc();
     if (why) why->clear();
   }
   evict_deep_history();
-  tel.registry
-      .gauge("state_accounts", "Accounts in the canonical-head state")
-      .set(static_cast<double>(tip_state_.account_count()));
-  tel.registry
-      .gauge("state_trie_nodes",
-             "Nodes (leaves + branches) across the account and storage "
-             "commitment tries")
-      .set(static_cast<double>(commitment_.node_count()));
+  metrics_.accounts.set(static_cast<double>(tip_state_.account_count()));
+  metrics_.trie_nodes.set(static_cast<double>(commitment_.node_count()));
   return true;
 }
 
@@ -529,25 +529,15 @@ const WorldState& Blockchain::best_state() const {
 const WorldState* Blockchain::state_of(const Hash256& block_id) const {
   const auto it = entries_.find(block_id);
   if (it == entries_.end()) return nullptr;
-  auto& tel = telemetry::resolve(telemetry_);
-  auto cache_outcome = [&](const char* name, const char* help) {
-    tel.registry.counter(name, help).inc();
-  };
   if (it->second.snapshot) {
-    cache_outcome("chain_state_cache_hit_total",
-                  "state_of lookups served by a retained snapshot or cached "
-                  "materialization");
+    metrics_.state_cache_hits.inc();
     return it->second.snapshot.get();
   }
   if (const auto cached = state_cache_.find(block_id); cached != state_cache_.end()) {
-    cache_outcome("chain_state_cache_hit_total",
-                  "state_of lookups served by a retained snapshot or cached "
-                  "materialization");
+    metrics_.state_cache_hits.inc();
     return &cached->second;
   }
-  cache_outcome("chain_state_cache_miss_total",
-                "state_of lookups that had to materialize from an ancestor "
-                "snapshot by delta replay");
+  metrics_.state_cache_misses.inc();
 
   // Materialize: copy the nearest ancestor snapshot — in memory, or on disk
   // when a store is attached — and replay deltas forward.

@@ -354,6 +354,8 @@ class Blockchain {
   const StateDelta* delta_of(const Hash256& id, const Entry& entry) const;
 
   telemetry::Telemetry* telemetry_ = nullptr;
+  struct Metrics;
+  Metrics& metrics_;  ///< The sink's chain families.
   /// Durable backend attached by open(); null for a RAM-only chain. Concrete
   /// type lives in sc_store — sc_chain sees only the interface.
   std::unique_ptr<StoreHook> store_;

@@ -25,6 +25,7 @@
 
 #include "analysis/verifier.hpp"
 #include "chain/executor.hpp"
+#include "telemetry/metrics.hpp"
 #include "vm/opcode.hpp"
 #include "vm/vm.hpp"
 
@@ -259,5 +260,37 @@ Receipt execute_transaction(State& state, const BlockEnv& env, const Transaction
   }
   return finish(TxStatus::kInvalid, "unknown kind");
 }
+
+/// The executors' families, declared once for the sequential and parallel
+/// paths; reached through Telemetry::handles<ExecMetrics>().
+struct ExecMetrics {
+  telemetry::Registry& r;
+  telemetry::CounterVec<5> tx{  // By TxStatus.
+      r, "chain_tx_total", "Transactions applied, by receipt status", "status",
+      [](std::size_t i) { return to_string(TxStatus(i)); }};
+  telemetry::Histogram& gas_used =
+      r.histogram("chain_tx_gas_used", "Gas consumed per applied transaction",
+                  telemetry::HistogramSpec::gas());
+  telemetry::Gauge& journal_depth =
+      r.gauge("state_journal_depth",
+              "High-water nested state checkpoint depth (tx mark + VM sub-call "
+              "snapshots) of the last applied transaction");
+  telemetry::Counter& speculated =
+      r.counter("parallel_exec_speculated_total",
+                "Transactions speculatively executed by the parallel executor");
+  telemetry::Counter& conflicts =
+      r.counter("parallel_exec_conflicts_total",
+                "Speculative results discarded because the read set overlapped "
+                "an earlier transaction's writes");
+  telemetry::Counter& reexecuted =
+      r.counter("parallel_exec_reexecuted_total",
+                "Transactions re-executed sequentially after a conflict");
+
+  /// Counts one committed transaction (never a discarded speculation).
+  void record(const Receipt& receipt) {
+    tx[receipt.status].inc();
+    gas_used.observe(static_cast<double>(receipt.gas_used));
+  }
+};
 
 }  // namespace sc::chain::detail

@@ -82,20 +82,9 @@ Receipt apply_transaction(JournaledState& state, const BlockEnv& env,
   std::size_t journal_depth = 0;
   Receipt receipt =
       detail::execute_transaction(state, env, tx, tel, journal_depth, sig_cache);
-  auto& registry = telemetry::resolve(tel).registry;
-  registry
-      .counter("chain_tx_total", "Transactions applied, by receipt status",
-               {{"status", std::string(to_string(receipt.status))}})
-      .inc();
-  registry
-      .histogram("chain_tx_gas_used", "Gas consumed per applied transaction",
-                 telemetry::HistogramSpec::gas())
-      .observe(static_cast<double>(receipt.gas_used));
-  registry
-      .gauge("state_journal_depth",
-             "High-water nested state checkpoint depth (tx mark + VM sub-call "
-             "snapshots) of the last applied transaction")
-      .set(static_cast<double>(journal_depth));
+  auto& metrics = telemetry::resolve(tel).handles<detail::ExecMetrics>();
+  metrics.record(receipt);
+  metrics.journal_depth.set(static_cast<double>(journal_depth));
   return receipt;
 }
 

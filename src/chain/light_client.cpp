@@ -5,8 +5,19 @@
 
 namespace sc::chain {
 
+struct LightClient::Metrics {
+  telemetry::Registry& r;
+  telemetry::Counter& verified =
+      r.counter("lightclient_proof_verified_total",
+                "State proofs a light client verified against a header's state_root");
+  telemetry::Counter& rejected =
+      r.counter("lightclient_proof_rejected_total",
+                "State proofs a light client rejected (tampered, mismatched or "
+                "for an unconfirmed block)");
+};
+
 LightClient::LightClient(const BlockHeader& genesis, telemetry::Telemetry* tel)
-    : telemetry_(tel) {
+    : metrics_(&telemetry::resolve(tel).handles<Metrics>()) {
   Entry entry;
   entry.header = genesis;
   entry.cumulative_difficulty = 0;
@@ -69,19 +80,7 @@ bool LightClient::verify_inclusion(const crypto::Hash256& tx_id,
 }
 
 bool LightClient::count_verdict(bool ok) const {
-  auto& registry = telemetry::resolve(telemetry_).registry;
-  if (ok)
-    registry
-        .counter("lightclient_proof_verified_total",
-                 "State proofs a light client verified against a header's "
-                 "state_root")
-        .inc();
-  else
-    registry
-        .counter("lightclient_proof_rejected_total",
-                 "State proofs a light client rejected (tampered, mismatched "
-                 "or for an unconfirmed block)")
-        .inc();
+  (ok ? metrics_->verified : metrics_->rejected).inc();
   return ok;
 }
 

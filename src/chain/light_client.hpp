@@ -91,7 +91,8 @@ class LightClient {
 
   void reindex();
 
-  telemetry::Telemetry* telemetry_ = nullptr;
+  struct Metrics;
+  Metrics* metrics_;  ///< The sink's proof counters; never null.
   std::unordered_map<crypto::Hash256, Entry> headers_;
   crypto::Hash256 genesis_id_;
   crypto::Hash256 best_head_;

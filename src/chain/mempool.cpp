@@ -8,20 +8,31 @@
 
 namespace sc::chain {
 
-bool Mempool::reject(const char* reason, std::string* why, std::string detail) {
-  if (why) *why = detail.empty() ? reason : std::move(detail);
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("mempool_rejected_total", "Transactions refused admission, by reason",
-               {{"reason", reason}})
-      .inc();
-  return false;
+struct Mempool::Metrics {
+  static constexpr std::string_view kReasons[] = {"invalid", "gate", "duplicate", "full"};
+  telemetry::Registry& r;
+  telemetry::CounterVec<4> rejected{  // By Reject.
+      r, "mempool_rejected_total", "Transactions refused admission, by reason", "reason",
+      [](std::size_t i) { return kReasons[i]; }};
+  telemetry::Gauge& depth = r.gauge("mempool_depth", "Pending transactions in the pool");
+  telemetry::Counter& sig_cache_hits =
+      r.counter("mempool_sig_cache_hits_total",
+                "Admission signature checks satisfied by the verified-tx cache");
+  telemetry::Counter& evictions = r.counter(
+      "mempool_evictions_total", "Residents evicted for a higher-paying transaction");
+  telemetry::Counter& admitted =
+      r.counter("mempool_admitted_total", "Transactions admitted to the pool");
+};
+
+Mempool::Metrics& Mempool::metrics() {
+  if (!metrics_) metrics_ = &telemetry::resolve(telemetry_).handles<Metrics>();
+  return *metrics_;
 }
 
-void Mempool::update_depth_gauge() {
-  telemetry::resolve(telemetry_)
-      .registry.gauge("mempool_depth", "Pending transactions in the pool")
-      .set(static_cast<double>(pool_.size()));
+bool Mempool::reject(Reject reason, std::string* why, std::string detail) {
+  if (why) *why = std::move(detail);
+  metrics().rejected[reason].inc();
+  return false;
 }
 
 bool Mempool::add(const Transaction& tx, std::string* why) {
@@ -30,18 +41,12 @@ bool Mempool::add(const Transaction& tx, std::string* why) {
   std::string reason;
   SigVerdict sig_verdict = SigVerdict::kVerified;
   if (!validate_transaction(tx, id, sig_cache_, &reason, &sig_verdict))
-    return reject("invalid", why, reason);
-  if (sig_verdict == SigVerdict::kCacheHit) {
-    telemetry::resolve(telemetry_)
-        .registry
-        .counter("mempool_sig_cache_hits_total",
-                 "Admission signature checks satisfied by the verified-tx cache")
-        .inc();
-  }
+    return reject(Reject::kInvalid, why, reason);
+  if (sig_verdict == SigVerdict::kCacheHit) metrics().sig_cache_hits.inc();
   if (gate_ && !gate_(tx, reason))
-    return reject("gate", why,
+    return reject(Reject::kGate, why,
                   reason.empty() ? "rejected by admission gate" : reason);
-  if (pool_.contains(id)) return reject("duplicate", why, "duplicate");
+  if (pool_.contains(id)) return reject(Reject::kDuplicate, why, "duplicate");
 
   if (capacity_ != 0 && pool_.size() >= capacity_) {
     // Evict the lowest-paying resident, with the transaction id as a
@@ -55,21 +60,15 @@ bool Mempool::add(const Transaction& tx, std::string* why) {
         victim = it;
     }
     if (victim == pool_.end() || tx.gas_price <= victim->second.gas_price)
-      return reject("full", why, "mempool full");
+      return reject(Reject::kFull, why, "mempool full");
     pool_.erase(victim);
     ++evictions_;
-    telemetry::resolve(telemetry_)
-        .registry
-        .counter("mempool_evictions_total",
-                 "Residents evicted for a higher-paying transaction")
-        .inc();
+    metrics().evictions.inc();
   }
 
   pool_.emplace(id, tx);
-  telemetry::resolve(telemetry_)
-      .registry.counter("mempool_admitted_total", "Transactions admitted to the pool")
-      .inc();
-  update_depth_gauge();
+  metrics().admitted.inc();
+  metrics().depth.set(static_cast<double>(pool_.size()));
   return true;
 }
 
@@ -115,14 +114,14 @@ std::vector<Transaction> Mempool::select(const StateView& state,
 
 void Mempool::remove(const std::vector<Transaction>& txs) {
   for (const auto& tx : txs) pool_.erase(tx.id());
-  update_depth_gauge();
+  metrics().depth.set(static_cast<double>(pool_.size()));
 }
 
 void Mempool::prune_stale(const StateView& state) {
   std::erase_if(pool_, [&](const auto& entry) {
     return entry.second.nonce < state.nonce(entry.second.sender());
   });
-  update_depth_gauge();
+  metrics().depth.set(static_cast<double>(pool_.size()));
 }
 
 }  // namespace sc::chain

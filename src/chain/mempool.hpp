@@ -56,7 +56,10 @@ class Mempool {
   std::uint64_t evictions() const { return evictions_; }
 
   /// Metrics sink; nullptr (default) means telemetry::global().
-  void set_telemetry(telemetry::Telemetry* tel) { telemetry_ = tel; }
+  void set_telemetry(telemetry::Telemetry* tel) {
+    telemetry_ = tel;
+    metrics_ = nullptr;
+  }
 
   /// Validates and inserts; returns false (with reason) on rejection or dup.
   bool add(const Transaction& tx, std::string* why = nullptr);
@@ -74,14 +77,19 @@ class Mempool {
   void prune_stale(const StateView& state);
 
  private:
-  bool reject(const char* reason, std::string* why, std::string detail = {});
-  void update_depth_gauge();
+  struct Metrics;
+  /// The sink's handles, resolved at the first record: a pool that is
+  /// injected after construction never touches the global sink.
+  Metrics& metrics();
+  enum class Reject : std::uint8_t { kInvalid, kGate, kDuplicate, kFull };
+  bool reject(Reject reason, std::string* why, std::string detail);
 
   std::unordered_map<Hash256, Transaction> pool_;
   AdmissionGate gate_;
   std::size_t capacity_ = 0;  ///< 0 = unbounded.
   std::uint64_t evictions_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
+  Metrics* metrics_ = nullptr;
   SigCache* sig_cache_ = nullptr;  ///< Optional, not owned.
 };
 

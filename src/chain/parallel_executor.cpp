@@ -173,7 +173,7 @@ std::vector<Receipt> apply_block_body_parallel(
     JournaledState& state, const BlockEnv& env,
     const std::vector<Transaction>& txs, Amount block_reward,
     util::ThreadPool& pool, telemetry::Telemetry* tel, SigCache* sig_cache) {
-  auto& registry = telemetry::resolve(tel).registry;
+  auto& metrics = telemetry::resolve(tel).handles<detail::ExecMetrics>();
   const std::size_t n = txs.size();
 
   // Phase 1 — speculation wave. Every transaction executes against the
@@ -240,31 +240,14 @@ std::vector<Receipt> apply_block_body_parallel(
     }
     const Receipt& receipt = receipts.back();
     fees += receipt.fee_paid;
-    registry
-        .counter("chain_tx_total", "Transactions applied, by receipt status",
-                 {{"status", std::string(to_string(receipt.status))}})
-        .inc();
-    registry
-        .histogram("chain_tx_gas_used", "Gas consumed per applied transaction",
-                   telemetry::HistogramSpec::gas())
-        .observe(static_cast<double>(receipt.gas_used));
+    metrics.record(receipt);
   }
   // Miner income: new issuance χ·ν plus the transaction fees ψ·ω (Eq. 8).
   state.add_balance(env.miner, block_reward + fees);
 
-  registry
-      .counter("parallel_exec_speculated_total",
-               "Transactions speculatively executed by the parallel executor")
-      .add(n);
-  registry
-      .counter("parallel_exec_conflicts_total",
-               "Speculative results discarded because the read set overlapped "
-               "an earlier transaction's writes")
-      .add(conflicts);
-  registry
-      .counter("parallel_exec_reexecuted_total",
-               "Transactions re-executed sequentially after a conflict")
-      .add(conflicts);
+  metrics.speculated.add(n);
+  metrics.conflicts.add(conflicts);
+  metrics.reexecuted.add(conflicts);
   return receipts;
 }
 

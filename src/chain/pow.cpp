@@ -12,15 +12,22 @@ namespace sc::chain {
 
 namespace {
 
-/// One registry round-trip per mine() call: the grind loops count attempts
-/// locally (loop indices, no per-attempt instrumentation cost) and settle
-/// here on exit.
+/// The grinder's families. mine() is a free function with no injection
+/// surface, so they always live in the global sink.
+struct PowMetrics {
+  telemetry::Registry& r;
+  telemetry::Counter& attempts =
+      r.counter("pow_attempts_total", "Nonces tried by the PoW grinder");
+  telemetry::Counter& mined =
+      r.counter("pow_blocks_mined_total", "Successful PoW solutions");
+};
+
+/// Settles one mine() call: the grind loops count attempts locally (loop
+/// indices, no per-attempt instrumentation cost) and report here on exit.
 void record_grind(std::uint64_t attempts, bool mined) {
-  auto& registry = telemetry::global().registry;
-  registry.counter("pow_attempts_total", "Nonces tried by the PoW grinder")
-      .add(attempts);
-  if (mined)
-    registry.counter("pow_blocks_mined_total", "Successful PoW solutions").inc();
+  auto& metrics = telemetry::global().handles<PowMetrics>();
+  metrics.attempts.add(attempts);
+  if (mined) metrics.mined.inc();
 }
 
 // SHA-256 length padding for the two fixed message sizes in the double hash.

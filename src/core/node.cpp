@@ -7,6 +7,37 @@
 
 namespace sc::core {
 
+struct ConsensusNode::Metrics {
+  telemetry::Registry& r;
+  telemetry::Labels node;  ///< {node=name}
+  telemetry::Counter& store_reopen_failures =
+      r.counter("node_store_reopen_failures_total",
+                "Durable-store reopen failures at node (re)start, by node", node);
+  telemetry::Counter& blocks_rejected =
+      r.counter("node_blocks_rejected_total", "Blocks a replica refused, by node", node);
+  telemetry::Gauge& orphan_buffer = r.gauge(
+      "node_orphan_buffer_size", "Blocks parked awaiting a parent, by node", node);
+  telemetry::Counter& orphans_evicted =
+      r.counter("node_orphans_evicted_total",
+                "Orphan blocks dropped by the buffer cap, by node", node);
+  telemetry::Counter& crashes =
+      r.counter("node_crashes_total", "Simulated process deaths, by node", node);
+  telemetry::Counter& restarts =
+      r.counter("node_restarts_total", "Node restarts, by node", node);
+  telemetry::Counter& sync_timeouts = r.counter(
+      "node_sync_timeouts_total", "Sync requests that timed out, by node", node);
+  telemetry::Counter& sync_retries =
+      r.counter("node_sync_retries_total", "Sync retry attempts, by node", node);
+  telemetry::Histogram& catchup =
+      r.histogram("node_catchup_duration_seconds",
+                  "Sim-time from sync start to caught-up, by node",
+                  telemetry::HistogramSpec::latency_seconds(), node);
+  /// Unlabelled: summed over every serving node.
+  telemetry::Counter& proofs_served =
+      r.counter("lightclient_proof_served_total",
+                "State proofs served to header-only clients over proof.req");
+};
+
 ConsensusNode::ConsensusNode(sim::Simulator& sim, sim::Network& net,
                              const chain::GenesisConfig& genesis, std::string name,
                              bool honest, RecordGate gate,
@@ -17,6 +48,8 @@ ConsensusNode::ConsensusNode(sim::Simulator& sim, sim::Network& net,
       honest_(honest),
       gate_(std::move(gate)),
       telemetry_(tel),
+      metrics_(std::make_unique<Metrics>(
+          telemetry::resolve(tel).registry, telemetry::Labels{{"node", name_}})),
       genesis_(genesis),
       options_(std::move(options)),
       chain_(make_chain(/*open_store=*/true)) {
@@ -33,12 +66,7 @@ std::unique_ptr<chain::Blockchain> ConsensusNode::make_chain(bool open_store) {
       // Graceful degradation: the node keeps running RAM-only from genesis
       // and relies on sync to catch back up; the failure is only counted.
       ++store_reopen_failures_;
-      telemetry::resolve(telemetry_)
-          .registry
-          .counter("node_store_reopen_failures_total",
-                   "Durable-store reopen failures at node (re)start, by node",
-                   {{"node", name_}})
-          .inc();
+      metrics_->store_reopen_failures.inc();
     }
   }
   return chain;
@@ -46,19 +74,7 @@ std::unique_ptr<chain::Blockchain> ConsensusNode::make_chain(bool open_store) {
 
 void ConsensusNode::record_rejection() {
   ++rejected_;
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("node_blocks_rejected_total", "Blocks a replica refused, by node",
-               {{"node", name_}})
-      .inc();
-}
-
-void ConsensusNode::update_orphan_gauge() {
-  telemetry::resolve(telemetry_)
-      .registry
-      .gauge("node_orphan_buffer_size", "Blocks parked awaiting a parent, by node",
-             {{"node", name_}})
-      .set(static_cast<double>(orphan_count_));
+  metrics_->blocks_rejected.inc();
 }
 
 bool ConsensusNode::validate_records(const chain::Block& block) const {
@@ -142,11 +158,7 @@ void ConsensusNode::handle_proof_req(const sim::Message& msg) {
   w.u64(chain_->best_height());
   w.raw(head.span());
   w.bytes(proof_bytes);
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("lightclient_proof_served_total",
-               "State proofs served to header-only clients over proof.req")
-      .inc();
+  metrics_->proofs_served.inc();
   net_.unicast(net_id_, msg.from, "proof.resp", std::move(w).take());
 }
 
@@ -196,14 +208,9 @@ void ConsensusNode::buffer_orphan(const chain::Block& block) {
     orphan_count_ -= evicted;
     orphans_evicted_ += evicted;
     orphans_.erase(it);
-    telemetry::resolve(telemetry_)
-        .registry
-        .counter("node_orphans_evicted_total",
-                 "Orphan blocks dropped by the buffer cap, by node",
-                 {{"node", name_}})
-        .add(evicted);
+    metrics_->orphans_evicted.add(evicted);
   }
-  update_orphan_gauge();
+  metrics_->orphan_buffer.set(static_cast<double>(orphan_count_));
 }
 
 void ConsensusNode::drain_orphans() {
@@ -226,7 +233,7 @@ void ConsensusNode::drain_orphans() {
       ++it;
     }
   }
-  update_orphan_gauge();
+  metrics_->orphan_buffer.set(static_cast<double>(orphan_count_));
 }
 
 // -- Crash/restart lifecycle --------------------------------------------------
@@ -247,12 +254,8 @@ void ConsensusNode::crash() {
   pending_req_ = 0;
   peer_target_.clear();
   peer_score_.clear();
-  update_orphan_gauge();
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("node_crashes_total", "Simulated process deaths, by node",
-               {{"node", name_}})
-      .inc();
+  metrics_->orphan_buffer.set(0);
+  metrics_->crashes.inc();
 }
 
 bool ConsensusNode::restart() {
@@ -261,10 +264,7 @@ bool ConsensusNode::restart() {
   alive_ = true;
   const bool want_store = !options_.store_dir.empty();
   chain_ = make_chain(/*open_store=*/true);
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("node_restarts_total", "Node restarts, by node", {{"node", name_}})
-      .inc();
+  metrics_->restarts.inc();
   start_sync();
   return !want_store || chain_->persistent();
 }
@@ -318,11 +318,7 @@ void ConsensusNode::arm_timeout(std::uint64_t req_id) {
 
 void ConsensusNode::on_sync_timeout() {
   ++sync_timeouts_;
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("node_sync_timeouts_total", "Sync requests that timed out, by node",
-               {{"node", name_}})
-      .inc();
+  metrics_->sync_timeouts.inc();
   // Only unicast requests blame a specific peer; a status broadcast that
   // drew no answer blames nobody (everyone may be partitioned away).
   if (pending_is_range_) peer_score_[pending_peer_] += options_.sync.score_timeout;
@@ -332,11 +328,7 @@ void ConsensusNode::on_sync_timeout() {
 
 void ConsensusNode::schedule_retry() {
   ++sync_retries_;
-  telemetry::resolve(telemetry_)
-      .registry
-      .counter("node_sync_retries_total", "Sync retry attempts, by node",
-               {{"node", name_}})
-      .inc();
+  metrics_->sync_retries.inc();
   // Exponential backoff with jitter so simultaneously-healed nodes do not
   // hammer the same peer in lockstep.
   const double delay =
@@ -360,12 +352,7 @@ void ConsensusNode::finish_sync() {
   if (!syncing_) return;
   syncing_ = false;
   pending_req_ = 0;
-  telemetry::resolve(telemetry_)
-      .registry
-      .histogram("node_catchup_duration_seconds",
-                 "Sim-time from sync start to caught-up, by node",
-                 telemetry::HistogramSpec::latency_seconds(), {{"node", name_}})
-      .observe(sim_.now() - sync_started_);
+  metrics_->catchup.observe(sim_.now() - sync_started_);
 }
 
 long long ConsensusNode::pick_sync_peer() const {

@@ -129,7 +129,6 @@ class ConsensusNode {
   void drain_orphans();
   void buffer_orphan(const chain::Block& block);
   void record_rejection();
-  void update_orphan_gauge();
 
   std::unique_ptr<chain::Blockchain> make_chain(bool open_store);
   void send_status_probe();
@@ -155,6 +154,8 @@ class ConsensusNode {
   bool honest_;
   RecordGate gate_;
   telemetry::Telemetry* telemetry_;
+  struct Metrics;
+  std::unique_ptr<Metrics> metrics_;  ///< Before chain_: a reopen may count.
   chain::GenesisConfig genesis_;  ///< Kept for post-crash chain rebuilds.
   NodeOptions options_;
   std::unique_ptr<chain::Blockchain> chain_;

@@ -19,8 +19,26 @@ std::vector<double> hash_powers_of(const PlatformConfig& config) {
 
 }  // namespace
 
+struct Platform::Metrics {
+  telemetry::Registry& r;
+  telemetry::Counter& sras_released =
+      r.counter("platform_sras_released_total", "System release announcements");
+  telemetry::Counter& reports_committed = r.counter(
+      "platform_reports_committed_total", "Initial reports (R-dagger) recorded on chain");
+  telemetry::Counter& reports_confirmed = r.counter(
+      "platform_reports_confirmed_total", "Detailed reports (R-star) accepted and paid");
+  telemetry::Counter& reports_lost_race =
+      r.counter("platform_reports_lost_race_total",
+                "Reveals rejected at admission (race lost or AutoVerif failure)");
+  telemetry::Histogram& confirmation =
+      r.histogram("platform_report_confirmation_seconds",
+                  "Sim-time from R-dagger submission to k-deep confirmation",
+                  telemetry::HistogramSpec::latency_seconds());
+};
+
 Platform::Platform(PlatformConfig config)
     : config_(std::move(config)),
+      metrics_(telemetry::resolve(config_.telemetry).handles<Metrics>()),
       sim_(config_.seed),
       corpus_(config_.seed ^ 0x5eedc0de),
       race_(hash_powers_of(config_), config_.mean_block_time),
@@ -127,9 +145,7 @@ Hash256 Platform::release_system_tiered(std::size_t provider, double vp,
   ProviderStats& stats = provider_stats_[provider];
   ++stats.sras_released;
   stats.insurance_escrowed += insurance;
-  telemetry::resolve(config_.telemetry)
-      .registry.counter("platform_sras_released_total", "System release announcements")
-      .inc();
+  metrics_.sras_released.inc();
 
   sras_.emplace(sra.id, SraRuntime{sra, provider, corpus_index, {}});
 
@@ -346,11 +362,7 @@ void Platform::process_receipts(const chain::Block& block) {
       if (tx.protocol == chain::ProtocolKind::kInitialReport && receipt.ok()) {
         ++stats.reports_committed;
         ++total_reports_recorded_;
-        telemetry::resolve(config_.telemetry)
-            .registry
-            .counter("platform_reports_committed_total",
-                     "Initial reports (R-dagger) recorded on chain")
-            .inc();
+        metrics_.reports_committed.inc();
       }
       if (tx.protocol == chain::ProtocolKind::kDetailedReport) {
         const auto detailed = DetailedReport::deserialize(tx.protocol_payload);
@@ -359,11 +371,7 @@ void Platform::process_receipts(const chain::Block& block) {
         if (receipt.ok()) {
           ++stats.reports_confirmed;
           ++total_reports_recorded_;
-          telemetry::resolve(config_.telemetry)
-              .registry
-              .counter("platform_reports_confirmed_total",
-                       "Detailed reports (R-star) accepted and paid")
-              .inc();
+          metrics_.reports_confirmed.inc();
           reputation_.record_confirmed(sender);
           // The bounty was transferred by the contract during execution; the
           // amount depends on the finding's severity tier.
@@ -393,12 +401,7 @@ void Platform::flush_ready_reveals() {
     pending.revealed = true;
     // R† submit → k-deep confirmation latency, the gating delay of the
     // two-phase protocol (paper Section VI-B; k = confirmation_depth).
-    telemetry::resolve(config_.telemetry)
-        .registry
-        .histogram("platform_report_confirmation_seconds",
-                   "Sim-time from R-dagger submission to k-deep confirmation",
-                   telemetry::HistogramSpec::latency_seconds())
-        .observe(sim_.now() - pending.submitted_at);
+    metrics_.confirmation.observe(sim_.now() - pending.submitted_at);
 
     const auto sra_it = sras_.find(pending.sra_id);
     if (sra_it == sras_.end()) continue;
@@ -424,11 +427,7 @@ void Platform::flush_ready_reveals() {
       // Lost the first-reporter race (or failed AutoVerif): no reveal.
       --next_nonce_[key.address()];
       ++detector_stats_[pending.detector].reports_lost_race;
-      telemetry::resolve(config_.telemetry)
-          .registry
-          .counter("platform_reports_lost_race_total",
-                   "Reveals rejected at admission (race lost or AutoVerif failure)")
-          .inc();
+      metrics_.reports_lost_race.inc();
     }
   }
 }

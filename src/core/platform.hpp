@@ -203,6 +203,8 @@ class Platform {
   std::uint64_t take_nonce(const Address& addr);
 
   PlatformConfig config_;
+  struct Metrics;
+  Metrics& metrics_;  ///< The sink's platform families.
   sim::Simulator sim_;
   detect::Corpus corpus_;
   std::vector<crypto::KeyPair> provider_keys_;

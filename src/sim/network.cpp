@@ -4,16 +4,20 @@
 
 namespace sc::sim {
 
+struct Network::Metrics {
+  telemetry::Registry& r;  ///< Also serves the by-topic families, by name.
+  telemetry::Counter& sent =
+      r.counter("net_messages_sent_total", "Messages submitted to the overlay");
+  telemetry::Counter& delivered =
+      r.counter("net_messages_delivered_total", "Messages handed to their recipient");
+  telemetry::Histogram& latency =
+      r.histogram("net_delivery_latency_seconds",
+                  "Per-message delivery latency in sim-seconds",
+                  telemetry::HistogramSpec::latency_seconds());
+};
+
 Network::Network(Simulator& sim, NetworkConfig config, telemetry::Telemetry* tel)
-    : sim_(sim), config_(config), telemetry_(tel) {
-  auto& registry = telemetry::resolve(tel).registry;
-  sent_metric_ = &registry.counter("net_messages_sent_total", "Messages submitted to the overlay");
-  delivered_metric_ =
-      &registry.counter("net_messages_delivered_total", "Messages handed to their recipient");
-  latency_metric_ = &registry.histogram(
-      "net_delivery_latency_seconds", "Per-message delivery latency in sim-seconds",
-      telemetry::HistogramSpec::latency_seconds());
-}
+    : sim_(sim), config_(config), metrics_(telemetry::resolve(tel).handles<Metrics>()) {}
 
 NodeId Network::add_node(MessageHandler handler) {
   handlers_.push_back(std::move(handler));
@@ -41,23 +45,20 @@ double Network::sample_latency() {
 void Network::unicast(NodeId from, NodeId to, std::string topic, util::Bytes payload) {
   if (to >= handlers_.size()) return;
   ++sent_;
-  sent_metric_->inc();
+  metrics_.sent.inc();
   // Order matters for RNG-stream stability: a severed send must not consume
   // a bernoulli draw (matches the short-circuit the check always had).
   if (severed(from, to)) {
     ++severed_count_;
-    telemetry::resolve(telemetry_)
-        .registry
+    metrics_.r
         .counter("net_messages_severed_total",
-                 "Messages blocked by an active partition, by topic",
-                 {{"topic", topic}})
+                 "Messages blocked by an active partition, by topic", {{"topic", topic}})
         .inc();
     return;
   }
   if (sim_.rng().bernoulli(config_.drop_rate)) {
     ++dropped_;
-    telemetry::resolve(telemetry_)
-        .registry
+    metrics_.r
         .counter("net_messages_dropped_total", "Messages lost to random drop, by topic",
                  {{"topic", topic}})
         .inc();
@@ -67,8 +68,8 @@ void Network::unicast(NodeId from, NodeId to, std::string topic, util::Bytes pay
   Message msg{from, std::move(topic), std::move(payload)};
   sim_.after(latency, [this, to, latency, msg = std::move(msg)] {
     ++delivered_;
-    delivered_metric_->inc();
-    latency_metric_->observe(latency);
+    metrics_.delivered.inc();
+    metrics_.latency.observe(latency);
     handlers_[to](msg);
   });
 }

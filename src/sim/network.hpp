@@ -83,11 +83,8 @@ class Network {
 
   Simulator& sim_;
   NetworkConfig config_;
-  telemetry::Telemetry* telemetry_;
-  // Hot-path metric handles, resolved once in the constructor.
-  telemetry::Counter* sent_metric_;
-  telemetry::Counter* delivered_metric_;
-  telemetry::Histogram* latency_metric_;
+  struct Metrics;
+  Metrics& metrics_;  ///< The sink's per-message families.
   std::vector<MessageHandler> handlers_;
   std::vector<std::set<NodeId>> groups_;  ///< Active partition (empty = none).
   std::uint64_t sent_ = 0, delivered_ = 0, dropped_ = 0, severed_count_ = 0;

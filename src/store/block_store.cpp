@@ -142,6 +142,35 @@ util::Bytes encode_snapshot_payload(std::uint64_t height,
 
 }  // namespace
 
+struct BlockStore::Metrics {
+  telemetry::Registry& r;  ///< Also serves store_io_errors_total{op}, by name.
+  telemetry::Counter& recovery_replays = r.counter(
+      "store_recovery_replays_total", "Store opens that replayed an existing block log");
+  telemetry::Counter& torn_tail_truncations =
+      r.counter("store_torn_tail_truncations_total",
+                "Torn log tails detected and truncated during recovery");
+  telemetry::Counter& log_compactions =
+      r.counter("store_log_compactions_total",
+                "Block-log rewrites that dropped orphaned fork blocks");
+  telemetry::Counter& compacted_blocks_dropped =
+      r.counter("store_compacted_blocks_dropped_total",
+                "Orphaned blocks removed from the log by compaction");
+  telemetry::Counter& bytes_appended =
+      r.counter("store_bytes_appended_total",
+                "Bytes appended to store files (log, journal, snapshots), "
+                "framing included");
+  telemetry::Counter& fsyncs =
+      r.counter("store_fsyncs_total", "fsync calls issued by the store");
+  telemetry::Counter& wal_compactions = r.counter(
+      "store_wal_compactions_total", "Tip-journal rewrites down to the newest record");
+  telemetry::Counter& snapshots_written =
+      r.counter("store_snapshots_written_total", "Full-state snapshot files written");
+  telemetry::Gauge& log_bytes =
+      r.gauge("store_log_bytes", "Current size of the append-only block log");
+  telemetry::Gauge& snapshot_count =
+      r.gauge("store_snapshot_count", "State snapshot files on disk");
+};
+
 std::unique_ptr<BlockStore> BlockStore::open(const std::string& dir,
                                              const crypto::Hash256& genesis_id,
                                              const StoreOptions& options,
@@ -157,7 +186,7 @@ std::unique_ptr<BlockStore> BlockStore::open(const std::string& dir,
   auto store = std::unique_ptr<BlockStore>(new BlockStore);
   store->dir_ = dir;
   store->options_ = options;
-  store->telemetry_ = tel;
+  store->metrics_ = &telemetry::resolve(tel).handles<Metrics>();
 
   auto opened = RecordLog::open(dir + "/blocks.log", options.fsync, why);
   if (!opened) return nullptr;
@@ -241,17 +270,8 @@ std::unique_ptr<BlockStore> BlockStore::open(const std::string& dir,
 
   store->scan_snapshot_dir();
 
-  auto& t = telemetry::resolve(tel);
-  if (store->opened_existing_)
-    t.registry
-        .counter("store_recovery_replays_total",
-                 "Store opens that replayed an existing block log")
-        .inc();
-  if (store->torn_tail_truncated_)
-    t.registry
-        .counter("store_torn_tail_truncations_total",
-                 "Torn log tails detected and truncated during recovery")
-        .inc();
+  if (store->opened_existing_) store->metrics_->recovery_replays.inc();
+  if (store->torn_tail_truncated_) store->metrics_->torn_tail_truncations.inc();
   store->publish_metrics();
   return store;
 }
@@ -335,11 +355,9 @@ void BlockStore::scan_snapshot_dir() {
 void BlockStore::note_io_error(StoreErrorCode code, int sys_errno,
                                std::string detail, const char* op,
                                bool degrading) {
-  telemetry::resolve(telemetry_)
-      .registry
+  metrics_->r
       .counter("store_io_errors_total",
-               "Store I/O failures surfaced as StoreError, by operation",
-               {{"op", op}})
+               "Store I/O failures surfaced as StoreError, by operation", {{"op", op}})
       .inc();
   StoreError error{code, sys_errno, std::move(detail)};
   if (degrading) {
@@ -431,7 +449,7 @@ bool BlockStore::write_snapshot(std::uint64_t height, const crypto::Hash256& id,
   if (options_.fsync && !sync_dir(dir_))
     return snapshot_error("directory fsync after rename failed");
   snapshots_[id] = {height, final_path};
-  ++snapshots_written_;
+  metrics_->snapshots_written.inc();
   publish_metrics();
   return true;
 }
@@ -574,15 +592,8 @@ bool BlockStore::compact(const std::vector<crypto::Hash256>& keep,
     }
   }
 
-  auto& t = telemetry::resolve(telemetry_);
-  t.registry
-      .counter("store_log_compactions_total",
-               "Block-log rewrites that dropped orphaned fork blocks")
-      .inc();
-  t.registry
-      .counter("store_compacted_blocks_dropped_total",
-               "Orphaned blocks removed from the log by compaction")
-      .add(dropped);
+  metrics_->log_compactions.inc();
+  metrics_->compacted_blocks_dropped.add(dropped);
   publish_metrics();
   return true;
 }
@@ -680,43 +691,19 @@ StoreStats BlockStore::stats() const {
 }
 
 void BlockStore::publish_metrics() {
-  auto& t = telemetry::resolve(telemetry_);
   const StoreStats s = stats();
-  if (s.bytes_appended > published_bytes_) {
-    t.registry
-        .counter("store_bytes_appended_total",
-                 "Bytes appended to store files (log, journal, snapshots), "
-                 "framing included")
-        .add(s.bytes_appended - published_bytes_);
-    published_bytes_ = s.bytes_appended;
-  }
-  if (s.fsyncs > published_fsyncs_) {
-    t.registry
-        .counter("store_fsyncs_total", "fsync calls issued by the store")
-        .add(s.fsyncs - published_fsyncs_);
-    published_fsyncs_ = s.fsyncs;
-  }
-  const std::uint64_t wal_compactions = journal_ ? journal_->compactions() : 0;
-  if (wal_compactions > published_wal_compactions_) {
-    t.registry
-        .counter("store_wal_compactions_total",
-                 "Tip-journal rewrites down to the newest record")
-        .add(wal_compactions - published_wal_compactions_);
-    published_wal_compactions_ = wal_compactions;
-  }
-  if (snapshots_written_ > published_snapshots_written_) {
-    t.registry
-        .counter("store_snapshots_written_total",
-                 "Full-state snapshot files written")
-        .add(snapshots_written_ - published_snapshots_written_);
-    published_snapshots_written_ = snapshots_written_;
-  }
-  t.registry
-      .gauge("store_log_bytes", "Current size of the append-only block log")
-      .set(static_cast<double>(s.log_bytes));
-  t.registry
-      .gauge("store_snapshot_count", "State snapshot files on disk")
-      .set(static_cast<double>(s.snapshot_count));
+  auto publish = [](telemetry::Counter& counter, std::uint64_t now,
+                    std::uint64_t& published) {
+    if (now <= published) return;
+    counter.add(now - published);
+    published = now;
+  };
+  publish(metrics_->bytes_appended, s.bytes_appended, published_bytes_);
+  publish(metrics_->fsyncs, s.fsyncs, published_fsyncs_);
+  publish(metrics_->wal_compactions, journal_ ? journal_->compactions() : 0,
+          published_wal_compactions_);
+  metrics_->log_bytes.set(static_cast<double>(s.log_bytes));
+  metrics_->snapshot_count.set(static_cast<double>(s.snapshot_count));
 }
 
 }  // namespace sc::store

@@ -156,7 +156,8 @@ class BlockStore {
 
   std::string dir_;
   StoreOptions options_;
-  telemetry::Telemetry* telemetry_ = nullptr;
+  struct Metrics;
+  Metrics* metrics_ = nullptr;  ///< The sink's store families, set by open().
   std::unique_ptr<RecordLog> log_;
   std::unique_ptr<TipJournal> journal_;
 
@@ -186,8 +187,6 @@ class BlockStore {
   std::uint64_t published_bytes_ = 0;
   std::uint64_t published_fsyncs_ = 0;
   std::uint64_t published_wal_compactions_ = 0;
-  std::uint64_t published_snapshots_written_ = 0;
-  std::uint64_t snapshots_written_ = 0;
 };
 
 }  // namespace sc::store

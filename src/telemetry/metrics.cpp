@@ -158,6 +158,9 @@ Registry::Series& Registry::resolve(std::string_view name, std::string_view help
   } else if (family.kind != kind) {
     throw std::logic_error("telemetry: metric " + std::string(name) +
                            " re-registered as a different kind");
+  } else if (kind == MetricKind::kHistogram && !(family.spec == spec)) {
+    throw std::logic_error("telemetry: histogram " + std::string(name) +
+                           " re-registered with a different bucket spec");
   }
 
   auto [sit, fresh] = family.series.try_emplace(label_key(labels));

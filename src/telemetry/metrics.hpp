@@ -14,10 +14,10 @@
 //              bucket-approximate. Atomic per-bucket counters.
 //
 // Handles returned by the registry are stable for the registry's lifetime;
-// hot paths resolve them once and bump the cached reference. Registration is
-// mutex-guarded; recording is lock-free. Naming rules are enforced at
-// registration (see docs/telemetry.md) so the Prometheus export always
-// parses.
+// each layer resolves its families once into a handle struct (telemetry.hpp)
+// and bumps the cached references. Registration is mutex-guarded; recording
+// is lock-free. Naming rules are enforced at registration (see
+// docs/telemetry.md) so the Prometheus export always parses.
 #pragma once
 
 #include <array>
@@ -85,6 +85,7 @@ struct HistogramSpec {
   std::size_t bucket_count = 32;
 
   std::vector<double> bounds() const;
+  bool operator==(const HistogramSpec&) const = default;
 
   /// Latencies in sim-seconds: 1 ms .. ~2400 s.
   static HistogramSpec latency_seconds() { return {1e-3, 2.0, 22}; }
@@ -130,7 +131,7 @@ class Registry {
   /// Get-or-create. The returned reference stays valid for the registry's
   /// lifetime; resolve once, then record lock-free. Throws std::invalid_argument
   /// on malformed names/labels and std::logic_error when `name` already exists
-  /// with a different kind.
+  /// with a different kind or (histograms) a different HistogramSpec.
   Counter& counter(std::string_view name, std::string_view help, Labels labels = {});
   Gauge& gauge(std::string_view name, std::string_view help, Labels labels = {});
   Histogram& histogram(std::string_view name, std::string_view help,
@@ -174,6 +175,23 @@ class Registry {
 
   mutable std::mutex mu_;
   std::map<std::string, Family, std::less<>> families_;
+};
+
+/// A counter family over a closed label set, every series resolved up front
+/// and indexed by the layer's enum; `value_of(i)` names label value i.
+template <std::size_t N>
+class CounterVec {
+ public:
+  template <class ValueOf>
+  CounterVec(Registry& registry, std::string_view name, std::string_view help,
+             const std::string& label, ValueOf value_of) {
+    for (std::size_t i = 0; i < N; ++i)
+      series_[i] = &registry.counter(name, help, {{label, std::string(value_of(i))}});
+  }
+  Counter& operator[](auto i) const { return *series_[static_cast<std::size_t>(i)]; }
+
+ private:
+  std::array<Counter*, N> series_{};
 };
 
 }  // namespace sc::telemetry

@@ -25,7 +25,7 @@ class Machine {
   ExecResult run();
 
   /// Publishes the locally-accumulated step/gas counters to the telemetry
-  /// sink. One registry round-trip per execution, not per instruction.
+  /// sink's VmMetrics, once per execution, not per instruction.
   void flush_metrics(const ExecResult& result);
 
  private:
@@ -168,22 +168,25 @@ std::string_view outcome_label(Outcome outcome) {
   return "unknown";
 }
 
+/// The SCVM's families; one per sink, shared by every execution.
+struct VmMetrics {
+  telemetry::Registry& r;
+  telemetry::Counter& steps =
+      r.counter("scvm_steps_total", "Instructions executed by the SCVM interpreter");
+  telemetry::CounterVec<5> executions{  // By Outcome.
+      r, "scvm_executions_total", "SCVM executions by final outcome", "outcome",
+      [](std::size_t i) { return outcome_label(Outcome(i)); }};
+  telemetry::CounterVec<kOpClassCount> gas{
+      r, "scvm_gas_total", "Gas charged by the SCVM, by opcode class", "class",
+      [](std::size_t i) { return op_class_name(OpClass(i)); }};
+};
+
 void Machine::flush_metrics(const ExecResult& result) {
-  auto& tel = telemetry::resolve(ctx_.telemetry);
-  tel.registry
-      .counter("scvm_steps_total", "Instructions executed by the SCVM interpreter")
-      .add(steps_);
-  tel.registry
-      .counter("scvm_executions_total", "SCVM executions by final outcome",
-               {{"outcome", std::string(outcome_label(result.outcome))}})
-      .inc();
-  for (std::size_t i = 0; i < kOpClassCount; ++i) {
-    if (gas_by_class_[i] == 0) continue;
-    tel.registry
-        .counter("scvm_gas_total", "Gas charged by the SCVM, by opcode class",
-                 {{"class", std::string(op_class_name(static_cast<OpClass>(i)))}})
-        .add(gas_by_class_[i]);
-  }
+  auto& m = telemetry::resolve(ctx_.telemetry).handles<VmMetrics>();
+  m.steps.add(steps_);
+  m.executions[result.outcome].inc();
+  for (std::size_t i = 0; i < kOpClassCount; ++i)
+    if (gas_by_class_[i] != 0) m.gas[i].add(gas_by_class_[i]);
 }
 
 ExecResult Machine::run() {

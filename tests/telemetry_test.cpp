@@ -3,6 +3,7 @@
 // gates sc_metrics_dump output in CI).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -124,6 +125,17 @@ TEST(Registry, KindMismatchThrows) {
   reg.counter("depth", "h");
   EXPECT_THROW(reg.gauge("depth", "h"), std::logic_error);
   EXPECT_THROW(reg.histogram("depth", "h", HistogramSpec{}), std::logic_error);
+}
+
+// A second registration must not silently keep the first spec's buckets.
+TEST(Registry, HistogramSpecMismatchThrows) {
+  Registry reg;
+  Histogram& h = reg.histogram("lat_seconds", "h", HistogramSpec::latency_seconds());
+  EXPECT_EQ(&reg.histogram("lat_seconds", "h", HistogramSpec::latency_seconds()), &h);
+  EXPECT_THROW(reg.histogram("lat_seconds", "h", HistogramSpec::gas()), std::logic_error);
+  EXPECT_THROW(reg.histogram("lat_seconds", "h", HistogramSpec{1e-3, 2.0, 23},
+                             {{"k", "v"}}),
+               std::logic_error);
 }
 
 TEST(Registry, SnapshotIsSortedByNameAndLabels) {
@@ -251,6 +263,64 @@ TEST(Telemetry, ResolveFallsBackToGlobal) {
   EXPECT_EQ(&resolve(&local), &local);
   EXPECT_EQ(&resolve(nullptr), &global());
   EXPECT_EQ(&global(), &global());  // stable singleton
+}
+
+/// A handle struct as instrumented layers declare one; counts its builds.
+struct RaceHandles {
+  static inline std::atomic<int> built{0};
+  explicit RaceHandles(Registry& r)
+      : hits(r.counter("race_hits_total", "h")),
+        outcomes(r, "race_outcomes_total", "h", "outcome",
+                 [](std::size_t i) { return i == 0 ? "won" : "lost"; }) {
+    built.fetch_add(1);
+  }
+  Counter& hits;
+  CounterVec<2> outcomes;
+};
+
+TEST(Telemetry, HandlesAreBuiltOncePerSink) {
+  RaceHandles::built = 0;
+  Telemetry a, b;
+  RaceHandles& ha = a.handles<RaceHandles>();
+  EXPECT_EQ(&a.handles<RaceHandles>(), &ha);
+  EXPECT_NE(&b.handles<RaceHandles>(), &ha);
+  EXPECT_EQ(RaceHandles::built.load(), 2);
+  // Building registers every family and closed-set series, all at zero.
+  ha.outcomes[1].inc();
+  EXPECT_EQ(a.registry.family_count(), 2u);
+  EXPECT_EQ(&a.registry.counter("race_outcomes_total", "h", {{"outcome", "lost"}}),
+            &ha.outcomes[1]);
+  EXPECT_EQ(ha.outcomes[0].value(), 0u);
+}
+
+// Four threads race the first handles<H>() call on a fresh sink while a fifth
+// exports: exactly one H is built and no add is lost (run under TSan by
+// scripts/check.sh).
+TEST(Telemetry, FourThreadsRaceTheFirstHandlesCall) {
+  RaceHandles::built = 0;
+  Telemetry tel;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20'000;
+  std::atomic<bool> go{false}, done{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerThread; ++i)
+        tel.handles<RaceHandles>().hits.inc();
+    });
+  std::thread exporter([&] {
+    while (!done.load())
+      EXPECT_TRUE(validate_prometheus_text(to_prometheus(tel.registry)));
+  });
+  go = true;
+  for (auto& w : workers) w.join();
+  done = true;
+  exporter.join();
+  EXPECT_EQ(RaceHandles::built.load(), 1);
+  EXPECT_EQ(tel.handles<RaceHandles>().hits.value(), kThreads * kPerThread);
+  EXPECT_NE(to_prometheus(tel.registry).find("race_hits_total 80000\n"),
+            std::string::npos);
 }
 
 TEST(Summary, RendersEveryFamily) {
