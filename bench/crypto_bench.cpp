@@ -1,4 +1,5 @@
-// Cryptographic-substrate harness: hashes, secp256k1 and Merkle roots.
+// Cryptographic-substrate harness: hashes (generic sizes and the chain's own
+// shapes), secp256k1 and Merkle roots.
 //
 // Backs the feasibility claim: Algorithm-1 verification (hash + ECDSA) runs
 // in well under a millisecond, so providers can gate thousands of reports
@@ -25,6 +26,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chain/block.hpp"
+#include "chain/transaction.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/merkle.hpp"
@@ -92,6 +95,30 @@ int main(int argc, char** argv) {
                           [&] { sink = sink + crypto::Sha256::digest(data).bytes[0]; }));
     ops.push_back(time_op("keccak256", n, 64, window_s,
                           [&] { sink = sink + crypto::keccak256(data).bytes[0]; }));
+  }
+  // The shapes the chain hashes most: a trie branch node (0x01, the 16-bit
+  // crit bit, two child hashes), a block id (double SHA-256 of the 148-byte
+  // header) and a transaction id (Keccak-256 of a signed transfer's wire
+  // encoding).
+  {
+    util::Bytes branch;
+    rng.fill(branch, 67);
+    ops.push_back(time_op("sha256_trie_branch", branch.size(), 64, window_s,
+                          [&] { sink = sink + crypto::Sha256::digest(branch).bytes[0]; }));
+    util::Bytes header;
+    rng.fill(header, chain::BlockHeader::kSerializedSize);
+    ops.push_back(time_op("sha256d_header", header.size(), 64, window_s, [&] {
+      sink = sink + crypto::Sha256::double_digest(header).bytes[0];
+    }));
+    chain::Transaction tx;
+    tx.nonce = 7;
+    tx.to = crypto::KeyPair::generate(rng).address();
+    tx.value = chain::kEther;
+    tx.gas_limit = 21'000;
+    tx.sign_with(key);
+    const util::Bytes wire = tx.encode();
+    ops.push_back(time_op("keccak256_transfer", wire.size(), 64, window_s,
+                          [&] { sink = sink + crypto::keccak256(wire).bytes[0]; }));
   }
   {
     util::Bytes data;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: regular build + tests, the ASan/UBSan suite, the
-# parallel miner, executor, secp256k1 table build and telemetry handles under
-# TSan, and a static-analysis pass over the SmartCrowd contract. Mirrors what
-# CI should run on every change.
+# parallel miner, executor, secp256k1 table build, SHA-256 kernel dispatch
+# and telemetry handles under TSan, and a static-analysis pass over the
+# SmartCrowd contract. Mirrors what CI should run on every change.
 #
 #   scripts/check.sh            # everything
 #   SKIP_TSAN=1 scripts/check.sh  # skip the thread-sanitizer stage
@@ -66,11 +66,14 @@ echo "== ASan/UBSan: sealed-template adoption =="
 # the matching submit_block — rerun the adoption suite sanitized.
 ctest --test-dir build-asan --output-on-failure -R ChainTemplate
 
-echo "== ASan/UBSan: secp256k1 limb arithmetic + deep durable history =="
+echo "== ASan/UBSan: secp256k1 limb arithmetic, hash kernels + deep durable history =="
 # The field element's carry chains, the wNAF/precomputed-table scalar
-# multiplication (against the generic oracle), the signature cache, and the
-# durable chain's deep-history read path — rerun them sanitized.
-ctest --test-dir build-asan --output-on-failure -R "Secp256k1|Crypto|SigCache|StoreChain|TxIdentity"
+# multiplication (against the generic oracle), SHA-NI against the portable
+# rounds, the word-wise Keccak absorb against the byte-wise oracle, the
+# signature cache, and the durable chain's deep-history read path — rerun
+# them sanitized.
+ctest --test-dir build-asan --output-on-failure \
+  -R "Secp256k1|Crypto|SigCache|StoreChain|TxIdentity|Sha256|Keccak"
 
 echo "== ASan/UBSan: store byte layer + serialization fuzz =="
 # Torn-tail repair, recovery and the codec round-trip/bit-flip fuzzers are
@@ -111,6 +114,10 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: four lanes race the first use of the static G tables =="
   cmake --build build-tsan --target crypto_secp256k1_oracle_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R FourLanesRaceTheFirstTableUse
+
+  echo "== TSan: four threads race the first Sha256::digest (kernel dispatch) =="
+  cmake --build build-tsan --target crypto_math_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -R FourThreadsRaceTheFirstDigest
 
   echo "== TSan: sharded counters + four threads racing the first handles<H>() =="
   cmake --build build-tsan --target telemetry_test -j "$jobs"

@@ -33,14 +33,13 @@ class Keccak {
   Hash256 finish();
 
  private:
-  void absorb_block();
+  void absorb_byte(std::uint8_t byte);
 
   static constexpr std::size_t kRate = 136;  // 1088-bit rate for 256-bit output.
 
   Variant variant_;
   std::uint64_t state_[25];
-  std::uint8_t buf_[kRate];
-  std::size_t buf_len_ = 0;
+  std::size_t pos_ = 0;  ///< Bytes absorbed into the current block, < kRate.
 };
 
 }  // namespace sc::crypto

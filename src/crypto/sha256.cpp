@@ -2,6 +2,10 @@
 
 #include <cassert>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sc::crypto {
 
 namespace {
@@ -27,6 +31,52 @@ constexpr std::uint32_t kRound[64] = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+// The SHA-NI round sequence. sha256rnds2 runs two rounds on the state split
+// as ABEF/CDGH; sha256msg1/msg2 extend the message schedule four words at a
+// time, so group g (rounds 4g..4g+3) also finishes W for group g+1 and
+// starts it for group g+3. m[g % 4] holds W[4g..4g+3].
+__attribute__((target("sha,sse4.1,ssse3"))) void transform_sha_ni(std::uint32_t state[8],
+                                                                  const std::uint8_t block[64]) {
+  const __m128i kByteSwap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i m[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    __m128i& cur = m[g & 3];
+    if (g < 4)
+      cur = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)), kByteSwap);
+    __m128i wk = _mm_add_epi32(
+        cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (g >= 3 && g < 15) {
+      __m128i& next = m[(g + 1) & 3];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(cur, m[(g + 3) & 3], 4));
+      next = _mm_sha256msg2_epu32(next, cur);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (g >= 1 && g < 13) m[(g + 3) & 3] = _mm_sha256msg1_epu32(m[(g + 3) & 3], cur);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
 }  // namespace
 
 void Sha256::reset() {
@@ -35,7 +85,27 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
+Sha256::TransformFn Sha256::sha_ni_transform() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+      __builtin_cpu_supports("ssse3"))
+    return transform_sha_ni;
+#endif
+  return nullptr;
+}
+
 void Sha256::transform(std::uint32_t state[8], const std::uint8_t block[64]) {
+  // Resolved on first use, not by a namespace-scope initializer, so hashing
+  // from another translation unit's static initializer is safe.
+  static const TransformFn kernel = [] {
+    const TransformFn hw = sha_ni_transform();
+    return hw ? hw : transform_portable;
+  }();
+  kernel(state, block);
+}
+
+void Sha256::transform_portable(std::uint32_t state[8], const std::uint8_t block[64]) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |

@@ -48,7 +48,17 @@ class Sha256 {
   static Sha256State initial_state();
   /// Runs the compression function on one 64-byte block, updating `state`
   /// in place. Building block for allocation-free hot paths (PoW mining).
+  /// Uses the SHA-NI kernel when the CPU has the SHA extensions (checked
+  /// once, on first call), the portable rounds otherwise.
   static void transform(std::uint32_t state[8], const std::uint8_t block[64]);
+
+  using TransformFn = void (*)(std::uint32_t state[8], const std::uint8_t block[64]);
+  /// The portable rounds, whatever the CPU: the fallback and the oracle the
+  /// SHA-NI kernel is tested against.
+  static void transform_portable(std::uint32_t state[8], const std::uint8_t block[64]);
+  /// The SHA-NI kernel, or nullptr when the target is not x86-64 or the CPU
+  /// lacks SHA/SSE4.1/SSSE3.
+  static TransformFn sha_ni_transform();
 
   /// One-shot convenience.
   static Hash256 digest(util::ByteSpan data);

@@ -1,8 +1,12 @@
-// Keccak-256 (Ethereum) and SHA3-256 (FIPS 202) against published vectors.
+// Keccak-256 (Ethereum) and SHA3-256 (FIPS 202) against published vectors,
+// and the unrolled permutation + word-wise absorb against the original
+// byte-wise sponge (keccak_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include "crypto/keccak.hpp"
+#include "keccak_oracle.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace sc::crypto {
 namespace {
@@ -59,6 +63,67 @@ TEST_P(KeccakRateBoundary, IncrementalEqualsOneShot) {
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, KeccakRateBoundary,
                          ::testing::Values(0, 1, 135, 136, 137, 271, 272, 273, 500));
+
+TEST(KeccakOracle, OneShotMatchesAtEveryLengthTo600) {
+  // Covers the rate edges 135/136/137 and 271/272/273, and every lane
+  // remainder on both sides of them.
+  util::Rng rng(0x6A5);
+  util::Bytes buf;
+  rng.fill(buf, 600 + 7);
+  for (std::size_t offset : {0, 3}) {  // aligned and misaligned input
+    for (std::size_t n = 0; n <= 600; ++n) {
+      const util::ByteSpan data{buf.data() + offset, n};
+      ASSERT_EQ(keccak256(data), keccak_oracle::keccak256(data))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(sha3_256(data), keccak_oracle::sha3_256(data))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(KeccakOracle, IncrementalSplitAtEveryOffset) {
+  util::Rng rng(0x6A6);
+  for (const std::size_t n : {135, 136, 137, 271, 272, 273, 600}) {
+    util::Bytes msg;
+    rng.fill(msg, n);
+    const Hash256 want = keccak_oracle::keccak256(msg);
+    for (std::size_t split = 0; split <= n; ++split) {
+      const util::ByteSpan head{msg.data(), split};
+      const util::ByteSpan tail{msg.data() + split, n - split};
+      Keccak ctx;
+      ctx.update(head).update(tail);
+      ASSERT_EQ(ctx.finish(), want) << "length " << n << " split " << split;
+    }
+  }
+}
+
+TEST(KeccakOracle, ThreeWaySplitsAroundTheRate) {
+  // A short first piece leaves the sponge mid-lane, so the second piece
+  // starts with the byte-wise lane fill; when it is shorter than the rest
+  // of that lane, the fill runs out of input and the third piece resumes
+  // mid-lane.
+  util::Rng rng(0x6A7);
+  util::Bytes msg;
+  rng.fill(msg, 300);
+  const Hash256 want = keccak_oracle::keccak256(msg);
+  for (std::size_t a = 0; a <= 17; ++a) {
+    for (std::size_t b = a; b <= 300; b += 7) {
+      Keccak ctx;
+      ctx.update({msg.data(), a}).update({msg.data() + a, b - a});
+      ctx.update({msg.data() + b, msg.size() - b});
+      ASSERT_EQ(ctx.finish(), want) << a << " " << b;
+    }
+  }
+}
+
+TEST(Keccak, ResetAfterFinishAllowsReuse) {
+  Keccak ctx;
+  ctx.update(util::as_bytes("garbage"));
+  (void)ctx.finish();
+  ctx.reset();
+  ctx.update(util::as_bytes("abc"));
+  EXPECT_EQ(ctx.finish(), keccak256(util::as_bytes("abc")));
+}
 
 TEST(Keccak, DistinctInputsDistinctDigests) {
   // Trivial collision smoke check over a small input family.

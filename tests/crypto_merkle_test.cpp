@@ -1,6 +1,8 @@
 // Merkle tree construction and inclusion proofs.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
@@ -129,6 +131,19 @@ TEST(Merkle, ProofLengthIsLogarithmic) {
   EXPECT_EQ(merkle_proof(leaves, 0).size(), 4u);
   const auto leaves1k = make_leaves(1024);
   EXPECT_EQ(merkle_proof(leaves1k, 512).size(), 10u);
+}
+
+TEST(Sha256Dispatch, FourThreadsRaceTheFirstDigest) {
+  // Nothing in this binary hashes before main(), so the SHA-256 kernel is
+  // resolved inside this race (each ctest case is its own process). Under
+  // TSan this is the check that the one-time dispatch is race-free.
+  std::vector<std::string> hex(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < hex.size(); ++t)
+    threads.emplace_back([&hex, t] { hex[t] = Sha256::digest(util::as_bytes("abc")).hex(); });
+  for (std::thread& th : threads) th.join();
+  for (const std::string& h : hex)
+    EXPECT_EQ(h, "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 }  // namespace

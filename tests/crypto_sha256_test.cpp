@@ -1,10 +1,13 @@
 // SHA-256 against FIPS 180-2 / NIST CAVP vectors.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace sc::crypto {
 namespace {
@@ -148,6 +151,58 @@ TEST(Sha256, TransformMatchesDigestOfOneBlock) {
   ctx.restore(Sha256State{{s.h[0], s.h[1], s.h[2], s.h[3], s.h[4], s.h[5], s.h[6], s.h[7]},
                           64});
   EXPECT_EQ(ctx.finish(), Sha256::digest({block, 64}));
+}
+
+/// FIPS 180-2 "abc" as one padded block through a given compression kernel.
+std::string abc_through(Sha256::TransformFn kernel) {
+  std::uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;  // bit length
+  Sha256State s = Sha256::initial_state();
+  kernel(s.h, block);
+  std::string hex;
+  for (const std::uint32_t word : s.h) {
+    char buf[9];
+    std::snprintf(buf, sizeof(buf), "%08x", word);
+    hex += buf;
+  }
+  return hex;
+}
+
+TEST(Sha256, PortableTransformReproducesFipsAbc) {
+  // The fallback is called explicitly, so it stays covered on hosts where
+  // transform() dispatches to SHA-NI.
+  EXPECT_EQ(abc_through(Sha256::transform_portable),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+  const Sha256::TransformFn sha_ni = Sha256::sha_ni_transform();
+  if (!sha_ni) GTEST_SKIP() << "no SHA extensions on this CPU";
+  EXPECT_EQ(abc_through(sha_ni), abc_through(Sha256::transform_portable));
+  util::Rng rng(0x5A1);
+  for (int trial = 0; trial < 20'000; ++trial) {
+    std::uint32_t portable[8];
+    for (std::uint32_t& word : portable) word = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t hw[8];
+    std::memcpy(hw, portable, sizeof(hw));
+    util::Bytes block;
+    rng.fill(block, 64);
+    Sha256::transform_portable(portable, block.data());
+    sha_ni(hw, block.data());
+    ASSERT_EQ(0, std::memcmp(hw, portable, sizeof(hw))) << "trial " << trial;
+  }
+}
+
+// Hashes before main(), from this translation unit's static initializer:
+// the kernel dispatch must not depend on any other initializer having run.
+struct HashedDuringStaticInit {
+  std::string abc = Sha256::digest(util::as_bytes("abc")).hex();
+};
+const HashedDuringStaticInit kHashedDuringStaticInit;
+
+TEST(Sha256, DispatchIsSafeDuringStaticInitialization) {
+  EXPECT_EQ(kHashedDuringStaticInit.abc,
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, HexOfHelperSanity) {

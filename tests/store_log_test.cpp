@@ -61,6 +61,44 @@ TEST(Crc32, StreamingMatchesOneShot) {
   }
 }
 
+/// The byte-at-a-time CRC-32 the store used before slice-by-8: the oracle
+/// the sliced loop must match bit for bit, so every stored CRC is unchanged.
+std::uint32_t crc32_bytewise(std::uint32_t crc, util::ByteSpan data) {
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  util::Rng rng(0xC3C);
+  util::Bytes buf;
+  rng.fill(buf, 1024 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const util::ByteSpan data{buf.data() + offset, len};
+      ASSERT_EQ(crc32(data), crc32_bytewise(0, data)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, SlicedStreamingMatchesBytewiseAtEverySplit) {
+  util::Rng rng(0xC3D);
+  util::Bytes buf;
+  rng.fill(buf, 300);
+  const std::uint32_t want = crc32_bytewise(0, buf);
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const util::ByteSpan head{buf.data(), split};
+    const util::ByteSpan tail{buf.data() + split, buf.size() - split};
+    ASSERT_EQ(crc32_update(crc32_update(0, head), tail), want) << "split " << split;
+    // A sliced head resumed byte-wise, and the other way round.
+    ASSERT_EQ(crc32_bytewise(crc32_update(0, head), tail), want) << "split " << split;
+    ASSERT_EQ(crc32_update(crc32_bytewise(0, head), tail), want) << "split " << split;
+  }
+}
+
 TEST(RecordLog, AppendReadScanRoundTrip) {
   TempDir dir;
   auto opened = RecordLog::open(dir.file("log"), /*fsync=*/false, nullptr);
