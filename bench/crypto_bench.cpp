@@ -1,5 +1,6 @@
 // Cryptographic-substrate harness: hashes (generic sizes and the chain's own
-// shapes), secp256k1 and Merkle roots.
+// shapes), secp256k1 (sign, verify, and the joint multiplication and inverses
+// under them) and Merkle roots.
 //
 // Backs the feasibility claim: Algorithm-1 verification (hash + ECDSA) runs
 // in well under a millisecond, so providers can gate thousands of reports
@@ -8,9 +9,9 @@
 //
 // Each operation runs in batches until ~0.2 s (0.02 s for --runs=small) have
 // passed; the reported figure is the median batch's ns per operation, so a
-// scheduler hiccup in one batch does not move it. Before timing, sign and
-// verify outputs are checked against a fixed key: a fast wrong answer aborts
-// the harness.
+// scheduler hiccup in one batch does not move it. Before timing, sign,
+// verify, the joint multiplication and the inverses are checked against a
+// fixed key: a fast wrong answer aborts the harness.
 //
 // Results print as a table and persist to BENCH_crypto.json (schema in
 // EXPERIMENTS.md).
@@ -86,6 +87,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The layers under verify and sign, checked the same way: the joint
+  // multiplication against the comb (Q = d·G, so u1·G + u2·Q = (u1 + u2·d)·G)
+  // and each inverse by a·a^-1 = 1.
+  namespace ec = crypto::secp256k1;
+  const ec::Scalar u1 = ec::Scalar::reduce(crypto::U256::from_hash(digest));
+  const ec::Scalar u2 = ec::Scalar::reduce(sig.s);
+  const ec::Scalar d = ec::Scalar::reduce(key.private_key());
+  ec::Scalar scalar_x = u1;
+  ec::FieldElement field_x = ec::FieldElement::reduce(sig.r);
+  if (ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).to_affine() !=
+          ec::scalar_mul_base((u1 + u2 * d).to_u256()).to_affine() ||
+      scalar_x * scalar_x.inv() != ec::Scalar::reduce(crypto::U256::one()) ||
+      field_x * field_x.inv() != ec::FieldElement::from_u64(1)) {
+    std::printf("FATAL: secp256k1 layer self-check failed\n");
+    return 1;
+  }
+
   volatile std::uint64_t sink = 0;
   std::vector<OpResult> ops;
   for (const std::size_t n : {64, 1024, 16384}) {
@@ -134,6 +152,18 @@ int main(int argc, char** argv) {
   ops.push_back(time_op("key_generation", 0, 8, window_s, [&] {
     sink = sink + crypto::KeyPair::generate(rng).public_key().x.low64();
   }));
+  ops.push_back(time_op("secp256k1_joint_mul", 0, 8, window_s, [&] {
+    sink = sink + ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).z.is_odd();
+  }));
+  // Each inverse feeds the next input (x -> x^-1 + 1), so the variable-time
+  // inverses average over inputs instead of repeating one.
+  ops.push_back(time_op("scalar_inverse", 0, 64, window_s, [&] {
+    scalar_x = scalar_x.inv() + ec::Scalar::reduce(crypto::U256::one());
+  }));
+  ops.push_back(time_op("field_inverse", 0, 64, window_s, [&] {
+    field_x = field_x.inv() + ec::FieldElement::from_u64(1);
+  }));
+  sink = sink + scalar_x.to_u256().low64() + field_x.to_u256().low64();
   for (const std::size_t n : {16, 256, 1024}) {
     std::vector<crypto::Hash256> leaves(n);
     for (auto& leaf : leaves) {
@@ -145,13 +175,13 @@ int main(int argc, char** argv) {
                           [&] { sink = sink + crypto::merkle_root(leaves).bytes[0]; }));
   }
 
-  std::printf("%-18s %8s %14s %10s\n", "op", "bytes", "ns/op", "MB/s");
+  std::printf("%-20s %8s %14s %10s\n", "op", "bytes", "ns/op", "MB/s");
   for (const OpResult& r : ops) {
     if (r.bytes)
-      std::printf("%-18s %8zu %14.1f %10.1f\n", r.name.c_str(), r.bytes, r.ns_per_op,
+      std::printf("%-20s %8zu %14.1f %10.1f\n", r.name.c_str(), r.bytes, r.ns_per_op,
                   static_cast<double>(r.bytes) * 1e3 / r.ns_per_op);
     else
-      std::printf("%-18s %8s %14.1f %10s\n", r.name.c_str(), "-", r.ns_per_op, "-");
+      std::printf("%-20s %8s %14.1f %10s\n", r.name.c_str(), "-", r.ns_per_op, "-");
   }
 
   run.results("    \"ops\": [\n");

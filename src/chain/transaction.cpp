@@ -33,7 +33,6 @@ void Transaction::sign_with(const crypto::KeyPair& key) {
 
 bool Transaction::verify_signature() const {
   if (!signature.is_low_s()) return false;
-  if (sender_pubkey.infinity || !sender_pubkey.is_on_curve()) return false;
   return crypto::verify_signature(sender_pubkey, signing_hash(), signature);
 }
 

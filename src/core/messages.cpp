@@ -36,7 +36,6 @@ std::optional<std::vector<detect::Finding>> read_findings(util::Reader& r) {
 bool signature_matches(const crypto::secp256k1::AffinePoint& pubkey,
                        const Address& claimed, const Hash256& digest,
                        const crypto::secp256k1::Signature& sig) {
-  if (pubkey.infinity || !pubkey.is_on_curve()) return false;
   // The embedded key must both verify the signature AND own the claimed
   // address — otherwise anyone could attach their own key to a victim's id.
   if (crypto::address_of(pubkey) != claimed) return false;

@@ -6,15 +6,6 @@
 
 namespace sc::crypto {
 
-namespace {
-
-bool verify_one(const VerifyJob& job) {
-  if (job.pub.infinity || !job.pub.is_on_curve()) return false;
-  return secp256k1::verify(job.pub, job.z, job.sig);
-}
-
-}  // namespace
-
 std::vector<bool> batch_verify(const std::vector<VerifyJob>& jobs,
                                util::ThreadPool* pool) {
   // Byte-sized scratch results: concurrent writers to distinct slots of a
@@ -23,7 +14,8 @@ std::vector<bool> batch_verify(const std::vector<VerifyJob>& jobs,
 
   const unsigned lanes = pool ? pool->size() + 1 : 1;
   if (lanes <= 1 || jobs.size() < 2) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) ok[i] = verify_one(jobs[i]);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      ok[i] = secp256k1::verify(jobs[i].pub, jobs[i].z, jobs[i].sig);
   } else {
     // Contiguous ranges, one per shard; verify cost is uniform enough that
     // static partitioning beats a shared claim counter here.
@@ -32,7 +24,8 @@ std::vector<bool> batch_verify(const std::vector<VerifyJob>& jobs,
     pool->for_shards(shards, [&](unsigned shard) {
       const std::size_t begin = jobs.size() * shard / shards;
       const std::size_t end = jobs.size() * (shard + 1) / shards;
-      for (std::size_t i = begin; i < end; ++i) ok[i] = verify_one(jobs[i]);
+      for (std::size_t i = begin; i < end; ++i)
+        ok[i] = secp256k1::verify(jobs[i].pub, jobs[i].z, jobs[i].sig);
     });
   }
 

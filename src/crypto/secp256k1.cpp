@@ -28,6 +28,13 @@ constexpr U256 kGy{0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL, 0x5DA4FBFC0E110
 /// 2^256 - n, three limbs (129 bits).
 constexpr u64 kNC[3] = {0x402DA1732FC9BEBFULL, 0x4551231950B75FC4ULL, 1};
 
+// The endomorphism λ·(x, y) = (β·x, y): λ is a cube root of unity mod n, β
+// one mod p.
+constexpr U256 kLambda{0xDF02967C1B23BD72ULL, 0x122E22EA20816678ULL, 0xA5261C028812645AULL,
+                       0x5363AD4CC05C30E0ULL};
+constexpr U256 kBeta{0xC1396C28719501EEULL, 0x9CF0497512F58995ULL, 0x6E64479EAC3434E9ULL,
+                     0x7AE96A2B657C0710ULL};
+
 // -- Scalar (mod n) limb kernels -----------------------------------------------
 
 /// r = t mod n: folds 2^256 ≡ 2^256 - n (three limbs) until the high half
@@ -57,52 +64,198 @@ U256 scalar_reduce512(const u64 t[8]) {
   return r;
 }
 
-// Inline 4-limb helpers for the binary inverse.
-inline bool limbs_is_one(const u64 a[4]) { return a[0] == 1 && (a[1] | a[2] | a[3]) == 0; }
+// -- Modular inverse: Bernstein–Yang divsteps, variable time ----------------------
 
-inline bool limbs_geq(const u64 a[4], const u64 b[4]) {
-  for (int i = 3; i >= 0; --i)
-    if (a[i] != b[i]) return a[i] > b[i];
-  return true;
+/// A signed integer on five 62-bit limbs: limbs 0-3 in (-2^62, 2^62), the sign
+/// in the top limb.
+struct Signed62 {
+  std::int64_t v[5];
+};
+
+/// A modulus of the divsteps inverse: its signed-62 form and its inverse
+/// modulo 2^62.
+struct ModInfo {
+  Signed62 m;
+  u64 m_inv62;
+};
+
+/// 2^62 times the matrix of 62 divsteps: [f', g'] = t·[f, g] / 2^62.
+struct Trans2x2 {
+  std::int64_t u, v, q, r;
+};
+
+using i128 = __int128;
+constexpr u64 kM62 = ~0ULL >> 2;
+
+/// m^-1 mod 2^62 for odd m by Newton's iteration (3, 6, ..., 96 correct bits).
+constexpr u64 inv_mod_2_62(u64 m) {
+  u64 x = m;
+  for (int i = 0; i < 5; ++i) x *= 2 - m * x;
+  return x & kM62;
 }
 
-inline u64 limbs_sub(u64 a[4], const u64 b[4]) {
-  u64 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
-    a[i] = static_cast<u64>(d);
-    borrow = static_cast<u64>(d >> 64) & 1;
+// The moduli in sparse signed-62 form (zero limbs skip their products):
+// p = -0x1000003D1 + 256·2^248 and
+// n = 0x3FD25E8CD0364141 + 0x2ABB739ABD2280EE·2^62 - 0x15·2^124 + 256·2^248.
+constexpr ModInfo kFieldMod{{{-0x1000003D1LL, 0, 0, 0, 256}}, inv_mod_2_62(kP.limb[0])};
+constexpr ModInfo kScalarMod{{{0x3FD25E8CD0364141LL, 0x2ABB739ABD2280EELL, -0x15LL, 0, 256}},
+                             inv_mod_2_62(kN.limb[0])};
+
+/// 62 divsteps on the low bits of f and g (f odd), a run of zero bits of g at
+/// a time; returns the new eta = -delta.
+std::int64_t divsteps_62(std::int64_t eta, u64 f0, u64 g0, Trans2x2& t) {
+  u64 u = 1, v = 0, q = 0, r = 1;
+  u64 f = f0, g = g0;
+  int i = 62;
+  for (;;) {
+    // The sentinel bit stops the count at the i divsteps still to do; each
+    // zero bit of g is one divstep that halves g.
+    const int zeros = __builtin_ctzll(g | (~0ULL << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    if (i == 0) break;
+    // f and g are odd here. With eta < 0 the step swaps (f, g) to (g, -f).
+    u64 w;
+    const int limit = static_cast<int>(std::min<std::int64_t>(eta < 0 ? -eta + 1 : eta + 1, i));
+    if (eta < 0) {
+      eta = -eta;
+      g = 0 - std::exchange(f, g);
+      q = 0 - std::exchange(u, q);
+      r = 0 - std::exchange(v, r);
+      // The multiple of f that cancels the bottom min(limit, 6) bits of g.
+      const u64 m = (~0ULL >> (64 - limit)) & 63U;
+      w = (f * g * (f * f - 2)) & m;
+    } else {
+      // eta tends to be small here: cancel min(limit, 4) bits.
+      const u64 m = (~0ULL >> (64 - limit)) & 15U;
+      w = f + (((f + 1) & 4) << 1);
+      w = (0 - w * g) & m;
+    }
+    g += f * w;
+    q += u * w;
+    r += v * w;
   }
-  return borrow;
+  t = {static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
+       static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
+  return eta;
 }
 
-inline u64 limbs_add(u64 a[4], const u64 b[4]) {
-  u64 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
-    a[i] = static_cast<u64>(s);
-    carry = static_cast<u64>(s >> 64);
+/// [d, e] = t·[d, e] / 2^62 mod m, adding the multiples of m that make the
+/// division exact. d and e stay in (-2m, m).
+void update_de(Signed62& d, Signed62& e, const Trans2x2& t, const ModInfo& mod) {
+  const std::int64_t sd = d.v[4] >> 63;
+  const std::int64_t se = e.v[4] >> 63;
+  // Start from m·[u, q] for a negative d and m·[v, r] for a negative e, so
+  // the result cannot go below -2m; then fix the bottom 62 bits to zero.
+  std::int64_t md = (t.u & sd) + (t.v & se);
+  std::int64_t me = (t.q & sd) + (t.r & se);
+  i128 cd = static_cast<i128>(t.u) * d.v[0] + static_cast<i128>(t.v) * e.v[0];
+  i128 ce = static_cast<i128>(t.q) * d.v[0] + static_cast<i128>(t.r) * e.v[0];
+  const auto fix = [&](i128 c, std::int64_t m) {
+    return m - static_cast<std::int64_t>((mod.m_inv62 * static_cast<u64>(c) + static_cast<u64>(m)) &
+                                         kM62);
+  };
+  md = fix(cd, md);
+  me = fix(ce, me);
+  cd += static_cast<i128>(mod.m.v[0]) * md;
+  ce += static_cast<i128>(mod.m.v[0]) * me;
+  cd >>= 62;
+  ce >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += static_cast<i128>(t.u) * d.v[i] + static_cast<i128>(t.v) * e.v[i];
+    ce += static_cast<i128>(t.q) * d.v[i] + static_cast<i128>(t.r) * e.v[i];
+    if (mod.m.v[i] != 0) {
+      cd += static_cast<i128>(mod.m.v[i]) * md;
+      ce += static_cast<i128>(mod.m.v[i]) * me;
+    }
+    d.v[i - 1] = static_cast<std::int64_t>(static_cast<u64>(cd) & kM62);
+    e.v[i - 1] = static_cast<std::int64_t>(static_cast<u64>(ce) & kM62);
+    cd >>= 62;
+    ce >>= 62;
   }
-  return carry;
+  d.v[4] = static_cast<std::int64_t>(cd);
+  e.v[4] = static_cast<std::int64_t>(ce);
 }
 
-inline void limbs_shr1(u64 a[4], u64 top) {
-  a[0] = (a[0] >> 1) | (a[1] << 63);
-  a[1] = (a[1] >> 1) | (a[2] << 63);
-  a[2] = (a[2] >> 1) | (a[3] << 63);
-  a[3] = (a[3] >> 1) | (top << 63);
+/// [f, g] = t·[f, g] / 2^62 (exact) over the low `len` limbs.
+void update_fg(int len, Signed62& f, Signed62& g, const Trans2x2& t) {
+  i128 cf = static_cast<i128>(t.u) * f.v[0] + static_cast<i128>(t.v) * g.v[0];
+  i128 cg = static_cast<i128>(t.q) * f.v[0] + static_cast<i128>(t.r) * g.v[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += static_cast<i128>(t.u) * f.v[i] + static_cast<i128>(t.v) * g.v[i];
+    cg += static_cast<i128>(t.q) * f.v[i] + static_cast<i128>(t.r) * g.v[i];
+    f.v[i - 1] = static_cast<std::int64_t>(static_cast<u64>(cf) & kM62);
+    g.v[i - 1] = static_cast<std::int64_t>(static_cast<u64>(cg) & kM62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[len - 1] = static_cast<std::int64_t>(cf);
+  g.v[len - 1] = static_cast<std::int64_t>(cg);
 }
 
-/// x/2 mod m (m odd, x < m).
-inline void half_mod(u64 x[4], const u64 m[4]) {
-  u64 top = 0;
-  if (x[0] & 1) top = limbs_add(x, m);
-  limbs_shr1(x, top);
-}
-
-/// a -= b mod m (a, b < m).
-inline void sub_mod(u64 a[4], const u64 b[4], const u64 m[4]) {
-  if (limbs_sub(a, b)) limbs_add(a, m);
+/// r = a^-1 mod m for a < m (variable time; zero maps to zero). Bernstein–Yang
+/// "Fast constant-time gcd computation and modular inversion" in its
+/// variable-time form: f = m, g = a, and batches of 62 divsteps until g = 0;
+/// d tracks f·a^-1 mod m, so at the end a^-1 = ±d with f = ±1.
+void modinv(const u64 a[4], const ModInfo& mod, u64 r[4]) {
+  Signed62 d{{0, 0, 0, 0, 0}};
+  Signed62 e{{1, 0, 0, 0, 0}};
+  Signed62 f = mod.m;
+  Signed62 g{{static_cast<std::int64_t>(a[0] & kM62),
+              static_cast<std::int64_t>(((a[0] >> 62) | (a[1] << 2)) & kM62),
+              static_cast<std::int64_t>(((a[1] >> 60) | (a[2] << 4)) & kM62),
+              static_cast<std::int64_t>(((a[2] >> 58) | (a[3] << 6)) & kM62),
+              static_cast<std::int64_t>(a[3] >> 56)}};
+  int len = 5;
+  std::int64_t eta = -1;  // delta = 1
+  for (;;) {
+    Trans2x2 t;
+    eta = divsteps_62(eta, static_cast<u64>(f.v[0]), static_cast<u64>(g.v[0]), t);
+    update_de(d, e, t, mod);
+    update_fg(len, f, g, t);
+    if (g.v[0] == 0) {
+      std::int64_t rest = 0;
+      for (int j = 1; j < len; ++j) rest |= g.v[j];
+      if (rest == 0) break;
+    }
+    // Drop the top limb once it is only a sign (0 or -1) in both f and g,
+    // folding it into the limb below.
+    const std::int64_t fn = f.v[len - 1];
+    const std::int64_t gn = g.v[len - 1];
+    if (len > 1 && (fn ^ (fn >> 63)) == 0 && (gn ^ (gn >> 63)) == 0) {
+      f.v[len - 2] += static_cast<std::int64_t>(static_cast<u64>(fn) << 62);
+      g.v[len - 2] += static_cast<std::int64_t>(static_cast<u64>(gn) << 62);
+      --len;
+    }
+  }
+  // d in (-2m, m) to [0, m): add m if negative, negate if f = -1, then add m
+  // again if still negative, carrying between limbs after each step.
+  const std::int64_t negate = f.v[len - 1] >> 63;
+  auto carry = [&] {
+    for (int i = 0; i < 4; ++i) {
+      d.v[i + 1] += d.v[i] >> 62;
+      d.v[i] &= static_cast<std::int64_t>(kM62);
+    }
+  };
+  auto add_m_if_negative = [&] {
+    const std::int64_t neg = d.v[4] >> 63;
+    for (int i = 0; i < 5; ++i) d.v[i] += mod.m.v[i] & neg;
+  };
+  add_m_if_negative();
+  for (int i = 0; i < 5; ++i) d.v[i] = (d.v[i] ^ negate) - negate;
+  carry();
+  add_m_if_negative();
+  carry();
+  const auto l = [&](int i) { return static_cast<u64>(d.v[i]); };
+  r[0] = l(0) | (l(1) << 62);
+  r[1] = (l(1) >> 2) | (l(2) << 60);
+  r[2] = (l(2) >> 4) | (l(3) << 58);
+  r[3] = (l(3) >> 6) | (l(4) << 56);
 }
 
 // -- Group internals -------------------------------------------------------------
@@ -113,12 +266,16 @@ struct Ge {
   FieldElement y;
 };
 
-/// P + Q for Jacobian P and affine Q (madd: 8M + 3S).
-JacobianPoint add_ge(const JacobianPoint& p, const Ge& q) {
-  if (p.is_identity()) return {q.x, q.y, FieldElement::from_u64(1)};
-  const FieldElement z1z1 = p.z.sqr();
+/// P + Q for Jacobian P (not the identity) and affine Q (madd: 8M + 3S).
+/// `az` brings Q into P's coordinates: P's own Z, or P's Z times s when P
+/// lies on the curve scaled by s, (x, y) -> (s²x, s³y), and Q does not. The
+/// sum's Z is P's times h, stored in *zr when asked for.
+[[gnu::always_inline]] inline JacobianPoint madd(const JacobianPoint& p, const Ge& q,
+                                                 const FieldElement& az,
+                                                 FieldElement* zr = nullptr) {
+  const FieldElement z1z1 = az.sqr();
   const FieldElement u2 = q.x * z1z1;
-  const FieldElement s2 = q.y * z1z1 * p.z;
+  const FieldElement s2 = q.y * z1z1 * az;
   const FieldElement h = u2 - p.x;
   const FieldElement r = s2 - p.y;
   if (h.is_zero()) {
@@ -130,42 +287,58 @@ JacobianPoint add_ge(const JacobianPoint& p, const Ge& q) {
   const FieldElement u1h2 = p.x * h2;
   const FieldElement x3 = r.sqr() - h3 - (u1h2 + u1h2);
   const FieldElement y3 = r * (u1h2 - x3) - p.y * h3;
+  if (zr != nullptr) *zr = h;
   return {x3, y3, p.z * h};
+}
+
+/// P + Q for Jacobian P and affine Q.
+JacobianPoint add_ge(const JacobianPoint& p, const Ge& q) {
+  if (p.is_identity()) return {q.x, q.y, FieldElement::from_u64(1)};
+  return madd(p, q, p.z);
+}
+
+/// P + Q for P on the curve scaled by s and Q on the real curve (one
+/// multiplication more than add_ge).
+JacobianPoint add_ge_scaled(const JacobianPoint& p, const Ge& q, const FieldElement& s) {
+  if (p.is_identity()) {
+    const FieldElement s2 = s.sqr();
+    return {q.x * s2, q.y * s2 * s, FieldElement::from_u64(1)};
+  }
+  return madd(p, q, p.z * s);
 }
 
 Ge neg_ge(const Ge& g) { return {g.x, g.y.neg()}; }
 
-/// Width-w NAF of k (k < n) into zero-initialised `digits`: digits odd or
+/// Digits of a wNAF over a magnitude below 2^128: at most 129.
+constexpr int kHalfDigits = 129;
+
+/// Width-w NAF of a split half into zero-initialised `digits`: digits odd or
 /// zero, |digit| < 2^(w-1), at most one non-zero digit in any w consecutive
-/// positions. Returns the length.
-int wnaf(const U256& k, int w, int digits[257]) {
-  u64 v[5] = {k.limb[0], k.limb[1], k.limb[2], k.limb[3], 0};
+/// positions, negated when the half is negative (above n/2, i.e. n - |half|
+/// with |half| < 2^128). Returns the length.
+int wnaf(const Scalar& half, int w, int digits[kHalfDigits]) {
+  const bool negative = half.to_u256() > (kN >> 1);
+  const U256 mag = negative ? half.neg().to_u256() : half.to_u256();
+  u64 v[3] = {mag.limb[0], mag.limb[1], 0};
   const int full = 1 << w;
-  const int half = full >> 1;
+  const int sign = negative ? -1 : 1;
   int len = 0;
-  for (int i = 0; (v[0] | v[1] | v[2] | v[3] | v[4]) != 0; ++i) {
+  for (int i = 0; (v[0] | v[1] | v[2]) != 0; ++i) {
     if (v[0] & 1) {
       int d = static_cast<int>(v[0] & static_cast<u64>(full - 1));
-      if (d >= half) d -= full;
-      digits[i] = d;
+      if (d >= full >> 1) d -= full;
+      digits[i] = sign * d;
       if (d > 0) {
-        u64 borrow = static_cast<u64>(d);
-        for (int j = 0; j < 5 && borrow != 0; ++j) {
-          const u64 before = v[j];
-          v[j] -= borrow;
-          borrow = v[j] > before ? 1 : 0;
-        }
+        v[0] -= static_cast<u64>(d);  // d is v's low bits: no borrow
       } else {
-        u64 carry = static_cast<u64>(-d);
-        for (int j = 0; j < 5 && carry != 0; ++j) {
-          v[j] += carry;
-          carry = v[j] < carry ? 1 : 0;
-        }
+        v[0] += static_cast<u64>(-d);
+        if (v[0] < static_cast<u64>(-d) && ++v[1] == 0) ++v[2];
       }
       len = i + 1;
     }
-    for (int j = 0; j < 4; ++j) v[j] = (v[j] >> 1) | (v[j + 1] << 63);
-    v[4] >>= 1;
+    v[0] = (v[0] >> 1) | (v[1] << 63);
+    v[1] = (v[1] >> 1) | (v[2] << 63);
+    v[2] >>= 1;
   }
   return len;
 }
@@ -177,12 +350,14 @@ constexpr int kCombWindows = 256 / kCombBits;
 constexpr int kCombEntries = (1 << kCombBits) - 1;
 
 /// The static G tables, built once on first use (thread-safe static init),
-/// odd multiples first, then the comb windows:
+/// odd multiples first, then the comb windows, then the odd multiples of λG:
 ///   odd(i)        = (2i+1)·G                       for verify's wNAF (4 KB),
-///   comb(w, j)    = j·2^(4w)·G, j = 1..15          for k·G (60 KB).
+///   comb(w, j)    = j·2^(4w)·G, j = 1..15          for k·G (60 KB),
+///   lambda_odd(i) = (2i+1)·λG = (β·x, y) of odd(i) for the split's λ half (4 KB).
 struct GTables {
   static constexpr std::size_t kOdd = 1 << (kWindowG - 2);
   std::array<Ge, kOdd + kCombWindows * kCombEntries> entries;
+  std::array<Ge, kOdd> lambda_odd;
 
   const Ge& odd(std::size_t i) const { return entries[i]; }
   const Ge& comb(int w, unsigned j) const {
@@ -228,6 +403,8 @@ struct GTables {
       const FieldElement zinv2 = zinv.sqr();
       entries[i] = {entries[i].x * zinv2, entries[i].y * zinv2 * zinv};
     }
+    const FieldElement beta = FieldElement::reduce(kBeta);
+    for (std::size_t i = 0; i < kOdd; ++i) lambda_odd[i] = {beta * entries[i].x, entries[i].y};
   }
 };
 
@@ -255,42 +432,29 @@ FieldElement sqr_n(FieldElement a, int n) {
   return a;
 }
 
-/// x_k = a^(2^k - 1) for the block lengths the exponent chains need.
-struct PowerBlocks {
-  FieldElement x2, x3, x22, x223;
-
-  explicit PowerBlocks(const FieldElement& a) {
-    x2 = a.sqr() * a;
-    x3 = x2.sqr() * a;
-    const FieldElement x6 = sqr_n(x3, 3) * x3;
-    const FieldElement x9 = sqr_n(x6, 3) * x3;
-    const FieldElement x11 = sqr_n(x9, 2) * x2;
-    x22 = sqr_n(x11, 11) * x11;
-    const FieldElement x44 = sqr_n(x22, 22) * x22;
-    const FieldElement x88 = sqr_n(x44, 44) * x44;
-    const FieldElement x176 = sqr_n(x88, 88) * x88;
-    const FieldElement x220 = sqr_n(x176, 44) * x44;
-    x223 = sqr_n(x220, 3) * x3;
-  }
-};
-
 }  // namespace
 
 FieldElement FieldElement::inv() const {
-  // p - 2 has blocks of ones of lengths 223, 22, 1, 2, 1 (high to low):
-  // 223 ones, 0, 22 ones, 0000, 1, 0, 11, 0, 1.
-  const PowerBlocks b(*this);
-  FieldElement t = sqr_n(b.x223, 23) * b.x22;
-  t = sqr_n(t, 5) * *this;
-  t = sqr_n(t, 3) * b.x2;
-  return sqr_n(t, 2) * *this;
+  FieldElement r;
+  modinv(n_, kFieldMod, r.n_);
+  return r;
 }
 
 std::optional<FieldElement> FieldElement::sqrt() const {
-  // (p + 1) / 4 = 223 ones, 0, 22 ones, 000000, 11, 00.
-  const PowerBlocks b(*this);
-  FieldElement t = sqr_n(b.x223, 23) * b.x22;
-  t = sqr_n(t, 6) * b.x2;
+  // (p + 1) / 4 = 223 ones, 0, 22 ones, 000000, 11, 00; x_k = a^(2^k - 1).
+  const FieldElement x2 = sqr() * *this;
+  const FieldElement x3 = x2.sqr() * *this;
+  const FieldElement x6 = sqr_n(x3, 3) * x3;
+  const FieldElement x9 = sqr_n(x6, 3) * x3;
+  const FieldElement x11 = sqr_n(x9, 2) * x2;
+  const FieldElement x22 = sqr_n(x11, 11) * x11;
+  const FieldElement x44 = sqr_n(x22, 22) * x22;
+  const FieldElement x88 = sqr_n(x44, 44) * x44;
+  const FieldElement x176 = sqr_n(x88, 88) * x88;
+  const FieldElement x220 = sqr_n(x176, 44) * x44;
+  const FieldElement x223 = sqr_n(x220, 3) * x3;
+  FieldElement t = sqr_n(x223, 23) * x22;
+  t = sqr_n(t, 6) * x2;
   const FieldElement root = sqr_n(t, 2);
   if (root.sqr() != *this) return std::nullopt;
   return root;
@@ -328,33 +492,8 @@ Scalar Scalar::neg() const {
 }
 
 Scalar Scalar::inv() const {
-  if (v_.is_zero()) return {};
-  // Binary extended Euclid: invariants x1·a ≡ u and x2·a ≡ v (mod n).
-  u64 u[4] = {v_.limb[0], v_.limb[1], v_.limb[2], v_.limb[3]};
-  u64 v[4] = {kN.limb[0], kN.limb[1], kN.limb[2], kN.limb[3]};
-  u64 x1[4] = {1, 0, 0, 0};
-  u64 x2[4] = {0, 0, 0, 0};
-  const u64* m = kN.limb;
-  while (!limbs_is_one(u) && !limbs_is_one(v)) {
-    while ((u[0] & 1) == 0) {
-      limbs_shr1(u, 0);
-      half_mod(x1, m);
-    }
-    while ((v[0] & 1) == 0) {
-      limbs_shr1(v, 0);
-      half_mod(x2, m);
-    }
-    if (limbs_geq(u, v)) {
-      limbs_sub(u, v);
-      sub_mod(x1, x2, m);
-    } else {
-      limbs_sub(v, u);
-      sub_mod(x2, x1, m);
-    }
-  }
-  const u64* r = limbs_is_one(u) ? x1 : x2;
   Scalar s;
-  s.v_ = U256{r[0], r[1], r[2], r[3]};
+  modinv(v_.limb, kScalarMod, s.v_.limb);
   return s;
 }
 
@@ -450,34 +589,98 @@ JacobianPoint scalar_mul_base(const U256& k) {
   return acc;
 }
 
-JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& q) {
-  int dg[257] = {};
-  int dq[257] = {};
-  const int len_g = wnaf(Scalar::reduce(u1).to_u256(), kWindowG, dg);
-  const int len_q = q.infinity ? 0 : wnaf(Scalar::reduce(u2).to_u256(), kWindowQ, dq);
-  const int len = std::max(len_g, len_q);
+std::pair<Scalar, Scalar> split_lambda(const Scalar& k) {
+  // c1 = round(k·g1 / 2^384), c2 = round(k·g2 / 2^384) estimate k's
+  // coordinates in the lattice basis {(a1, b1), (a2, b2)} of the kernel of
+  // (i, j) -> i + λ·j; k2 = -(c1·b1 + c2·b2) and k1 = k - λ·k2 then lie in
+  // (-2^128, 2^128) (GLV, CRYPTO 2001; constants from libsecp256k1).
+  static constexpr U256 kG1{0xE893209A45DBB031ULL, 0x3DAA8A1471E8CA7FULL, 0xE86C90E49284EB15ULL,
+                            0x3086D221A7D46BCDULL};
+  static constexpr U256 kG2{0x1571B4AE8AC47F71ULL, 0x221208AC9DF506C6ULL, 0x6F547FA90ABFE4C4ULL,
+                            0xE4437ED6010E8828ULL};
+  static constexpr U256 kMinusB1{0x6F547FA90ABFE4C3ULL, 0xE4437ED6010E8828ULL, 0, 0};
+  static constexpr U256 kMinusB2{0xD765CDA83DB1562CULL, 0x8A280AC50774346DULL,
+                                 0xFFFFFFFFFFFFFFFEULL, ~0ULL};
+  const auto mul_shift_384 = [&](const U256& g) {
+    u64 t[8];
+    mul_512(k.to_u256().limb, g.limb, t);
+    const u128 c = (static_cast<u128>(t[7]) << 64 | t[6]) + (t[5] >> 63);
+    return Scalar::reduce(U256{static_cast<u64>(c), static_cast<u64>(c >> 64), 0, 0});
+  };
+  const Scalar k2 = mul_shift_384(kG1) * Scalar::reduce(kMinusB1) +
+                    mul_shift_384(kG2) * Scalar::reduce(kMinusB2);
+  const Scalar k1 = k + (k2 * Scalar::reduce(kLambda)).neg();
+  return {k1, k2};
+}
 
-  // Odd multiples Q, 3Q, ..., 15Q, left in Jacobian form (no inversion).
-  std::array<JacobianPoint, (1 << (kWindowQ - 2))> q_odd;
-  if (len_q > 0) {
-    q_odd[0] = JacobianPoint::from_affine(q);
-    const JacobianPoint q2 = q_odd[0].doubled();
-    for (std::size_t i = 1; i < q_odd.size(); ++i) q_odd[i] = q_odd[i - 1].add(q2);
+const U256& glv_lambda() { return kLambda; }
+const U256& glv_beta() { return kBeta; }
+
+constexpr std::size_t kQOdd = 1 << (kWindowQ - 2);
+
+/// Odd multiples Q, 3Q, ..., 15Q, effective-affine: affine on the curve
+/// scaled by the returned s, so the walk adds them with madds and no
+/// inversion is needed. Each (2i+1)Q is (2i-1)Q + 2Q by madd on the curve
+/// scaled by 2Q's Z, where 2Q is affine; one backward pass then brings every
+/// entry to the last one's Z by the recorded Z ratios.
+FieldElement q_table(const AffinePoint& q, Ge out[kQOdd]) {
+  const JacobianPoint q1 = JacobianPoint::from_affine(q);
+  const JacobianPoint d = q1.doubled();
+  const FieldElement dz2 = d.z.sqr();
+  const Ge d_affine{d.x, d.y};
+  std::array<JacobianPoint, kQOdd> a;
+  std::array<FieldElement, kQOdd> zr;
+  a[0] = {q1.x * dz2, q1.y * dz2 * d.z, FieldElement::from_u64(1)};
+  for (std::size_t i = 1; i < kQOdd; ++i) a[i] = madd(a[i - 1], d_affine, a[i - 1].z, &zr[i]);
+  // zs = Z(last) / Z(i), growing by one ratio per step down.
+  FieldElement zs = zr[kQOdd - 1];
+  out[kQOdd - 1] = {a[kQOdd - 1].x, a[kQOdd - 1].y};
+  for (std::size_t i = kQOdd - 1; i-- > 0;) {
+    const FieldElement zs2 = zs.sqr();
+    out[i] = {a[i].x * zs2, a[i].y * zs2 * zs};
+    if (i > 0) zs = zs * zr[i];
+  }
+  return d.z * a[kQOdd - 1].z;
+}
+
+JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& q) {
+  // u1·G + u2·Q = k1·G + k2·λG + k3·Q + k4·λQ with every k below 2^128 in
+  // magnitude: one walk of at most 129 doublings over four wNAFs.
+  int d_g[kHalfDigits] = {};
+  int d_lg[kHalfDigits] = {};
+  int d_q[kHalfDigits] = {};
+  int d_lq[kHalfDigits] = {};
+  const auto [k1, k2] = split_lambda(Scalar::reduce(u1));
+  int len = std::max(wnaf(k1, kWindowG, d_g), wnaf(k2, kWindowG, d_lg));
+
+  // The walk runs on the curve scaled by s, where the Q and λQ = (β·x, y)
+  // tables are affine; the G tables are scaled in on the fly, and the sum
+  // comes back by Z·s at the end.
+  Ge q_odd[kQOdd];
+  Ge q_lambda[kQOdd];
+  FieldElement s = FieldElement::from_u64(1);
+  if (!q.infinity) {
+    const auto [k3, k4] = split_lambda(Scalar::reduce(u2));
+    len = std::max({len, wnaf(k3, kWindowQ, d_q), wnaf(k4, kWindowQ, d_lq)});
+    s = q_table(q, q_odd);
+    const FieldElement beta = FieldElement::reduce(kBeta);
+    for (std::size_t i = 0; i < kQOdd; ++i) q_lambda[i] = {beta * q_odd[i].x, q_odd[i].y};
   }
   const GTables& t = g_tables();
 
+  const auto pick = [](const Ge* table, int d) {
+    const Ge& m = table[std::abs(d) / 2];
+    return d > 0 ? m : neg_ge(m);
+  };
   JacobianPoint r = JacobianPoint::identity();
   for (int i = len - 1; i >= 0; --i) {
     r = r.doubled();
-    if (i < len_q && dq[i] != 0) {
-      const JacobianPoint& m = q_odd[static_cast<std::size_t>(std::abs(dq[i]) / 2)];
-      r = r.add(dq[i] > 0 ? m : JacobianPoint{m.x, m.y.neg(), m.z});
-    }
-    if (i < len_g && dg[i] != 0) {
-      const Ge& m = t.odd(static_cast<std::size_t>(std::abs(dg[i]) / 2));
-      r = add_ge(r, dg[i] > 0 ? m : neg_ge(m));
-    }
+    if (d_q[i] != 0) r = add_ge(r, pick(q_odd, d_q[i]));
+    if (d_lq[i] != 0) r = add_ge(r, pick(q_lambda, d_lq[i]));
+    if (d_g[i] != 0) r = add_ge_scaled(r, pick(&t.odd(0), d_g[i]), s);
+    if (d_lg[i] != 0) r = add_ge_scaled(r, pick(t.lambda_odd.data(), d_lg[i]), s);
   }
+  r.z = r.z * s;
   return r;
 }
 

@@ -3,11 +3,13 @@
 // The paper's prototype signs SRAs and detection reports with ECDSA over
 // secp256k1 and verifies them in Algorithm 1. We implement:
 //   - a dedicated base-field element (four 64-bit limbs, folding
-//     2^256 ≡ 0x1000003D1 one limb product at a time, addition-chain inverse
-//     and square root) and a scalar type modulo the group order n,
+//     2^256 ≡ 0x1000003D1 one limb product at a time, addition-chain square
+//     root) and a scalar type modulo the group order n, both inverted by one
+//     variable-time Bernstein–Yang divsteps routine,
 //   - Jacobian-coordinate point arithmetic with mixed Jacobian+affine adds,
 //   - k·G from a precomputed fixed-window table (sign, key derivation) and
-//     u1·G + u2·Q jointly by Strauss–Shamir over wNAF (verify),
+//     u1·G + u2·Q jointly by a four-way Strauss–Shamir walk over wNAF, each
+//     scalar split in two 128-bit halves by the curve's endomorphism (verify),
 //   - RFC-6979 deterministic nonces (no RNG dependence; signing is a pure
 //     function of key and message, which keeps simulations reproducible),
 //   - low-s normalised ECDSA signatures (Ethereum convention).
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "crypto/hash_types.hpp"
 #include "crypto/uint256.hpp"
@@ -224,7 +227,7 @@ class FieldElement {
     return r;
   }
   FieldElement neg() const { return FieldElement{} - *this; }
-  /// Multiplicative inverse by addition chain (a^(p-2)); zero maps to zero.
+  /// Multiplicative inverse by divsteps (variable time); zero maps to zero.
   FieldElement inv() const;
   /// A square root by addition chain (a^((p+1)/4), p ≡ 3 mod 4); nullopt
   /// for non-residues.
@@ -250,8 +253,7 @@ class Scalar {
   Scalar operator+(const Scalar& o) const;
   Scalar operator*(const Scalar& o) const;
   Scalar neg() const;
-  /// Multiplicative inverse by binary extended Euclid (variable time); zero
-  /// maps to zero.
+  /// Multiplicative inverse by divsteps (variable time); zero maps to zero.
   Scalar inv() const;
 
  private:
@@ -296,8 +298,17 @@ JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
 /// k·G from the precomputed fixed-window table: one mixed add per 4-bit
 /// window, no doublings. k is taken mod n.
 JacobianPoint scalar_mul_base(const U256& k);
-/// u1·G + u2·Q with one shared doubling chain (Strauss–Shamir over wNAF: a
-/// static odd-multiples table for G, a per-call one for Q). Scalars mod n.
+/// The endomorphism λ·(x, y) = (β·x, y): λ (mod n) and β (mod p) are
+/// non-trivial cube roots of unity.
+const U256& glv_lambda();
+const U256& glv_beta();
+/// GLV split: (k1, k2) with k ≡ k1 + λ·k2 (mod n) and |k1|, |k2| < 2^128, a
+/// negative half -h returned as n - h.
+std::pair<Scalar, Scalar> split_lambda(const Scalar& k);
+/// u1·G + u2·Q with one shared doubling chain: both scalars split by λ, then
+/// a four-way Strauss–Shamir walk over wNAFs of G, λG, Q and λQ (static
+/// odd-multiples tables for G and λG, per-call ones for Q and λQ). Scalars
+/// mod n.
 JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& q);
 /// verify's final step without a field inversion: (p.X/p.Z^2) mod n == r,
 /// checked as r·Z^2 == X, and (r+n)·Z^2 == X when r+n < p. `p` must not be

@@ -151,10 +151,21 @@ TEST(Secp256k1Oracle, PointMultiplicationMatches) {
   EXPECT_TRUE(scalar_mul(U256{5}, inf).is_identity());
 }
 
+/// Scalars at the edges of the GLV split: halves of zero, one or minus one,
+/// and at the 2^128 bound of a half.
+std::vector<U256> split_edges() {
+  const U256 n = group_order();
+  const U256 lambda = glv_lambda();
+  return {U256::zero(),  U256::one(),          n - U256::one(),
+          lambda,        n - lambda,           (U256::one() << 128) - U256::one(),
+          U256::one() << 128, oracle::Fn().mul(lambda, U256{5}), n - U256{5}};
+}
+
 TEST(Secp256k1Oracle, JointMultiplicationMatches) {
   util::Rng rng(7);
   const AffinePoint q = derive_public(rand_scalar(rng));
-  const std::vector<U256> ks = scalar_edges(rng);
+  std::vector<U256> ks = scalar_edges(rng);
+  for (const U256& k : split_edges()) ks.push_back(k);
   for (const U256& u1 : ks) {
     for (const U256& u2 : ks) {
       const AffinePoint expect =
@@ -166,6 +177,119 @@ TEST(Secp256k1Oracle, JointMultiplicationMatches) {
   // u2·Q cancelling u1·G: Q = G, u2 = n - u1.
   const U256 u1 = rand_scalar(rng);
   EXPECT_TRUE(double_scalar_mul(u1, group_order() - u1, generator()).is_identity());
+}
+
+/// |k| for k mod n read as a signed value in (-n/2, n/2].
+U256 magnitude(const Scalar& k) {
+  return k.to_u256() > (group_order() >> 1) ? k.neg().to_u256() : k.to_u256();
+}
+
+TEST(Secp256k1Glv, SplitRecombinesWithHalvesBelow2To128) {
+  util::Rng rng(12);
+  const auto& fn = oracle::Fn();
+  const U256 half_n = group_order() >> 1;
+  std::vector<U256> ks = split_edges();
+  for (int i = 0; i < 10000; ++i) ks.push_back(rand_u256(rng));
+  int negative[2] = {0, 0};
+  int zero[2] = {0, 0};
+  for (const U256& raw : ks) {
+    const Scalar k = Scalar::reduce(raw);
+    const auto [k1, k2] = split_lambda(k);
+    ASSERT_EQ(fn.add(k1.to_u256(), fn.mul(glv_lambda(), k2.to_u256())), k.to_u256())
+        << raw.hex();
+    ASSERT_TRUE((magnitude(k1) >> 128).is_zero()) << raw.hex();
+    ASSERT_TRUE((magnitude(k2) >> 128).is_zero()) << raw.hex();
+    const Scalar halves[2] = {k1, k2};
+    for (int h = 0; h < 2; ++h) {
+      negative[h] += halves[h].to_u256() > half_n;
+      zero[h] += halves[h].is_zero();
+    }
+  }
+  // The edges reach every sign: k = λ·5 splits to (0, 5), n - 5 to (-5, 0).
+  const auto [a1, a2] = split_lambda(Scalar::reduce(split_edges()[7]));
+  EXPECT_TRUE(a1.is_zero());
+  EXPECT_EQ(a2.to_u256(), U256{5});
+  const auto [b1, b2] = split_lambda(Scalar::reduce(group_order() - U256{5}));
+  EXPECT_EQ(magnitude(b1), U256{5});
+  EXPECT_TRUE(b2.is_zero());
+  for (int h = 0; h < 2; ++h) {
+    EXPECT_GT(negative[h], 1000) << "half " << h;
+    EXPECT_GT(zero[h], 0) << "half " << h;
+  }
+}
+
+TEST(Secp256k1Glv, LambdaMapsXToBetaX) {
+  util::Rng rng(13);
+  const auto& fp = oracle::Fp();
+  const auto& fn = oracle::Fn();
+  const U256 beta = glv_beta();
+  // Non-trivial cube roots of unity in both fields.
+  EXPECT_NE(glv_lambda(), U256::one());
+  EXPECT_EQ(fn.mul(fn.sqr(glv_lambda()), glv_lambda()), U256::one());
+  EXPECT_NE(beta, U256::one());
+  EXPECT_EQ(fp.mul(fp.sqr(beta), beta), U256::one());
+  for (int i = 0; i < 20; ++i) {
+    const AffinePoint p = i == 0 ? generator() : oracle::derive_public(rand_scalar(rng));
+    const AffinePoint image = oracle::scalar_mul(glv_lambda(), p).to_affine();
+    EXPECT_EQ(image.x, fp.mul(beta, p.x)) << i;
+    EXPECT_EQ(image.y, p.y) << i;
+    // The library's multiplication by λ goes through its own split and tables.
+    EXPECT_EQ(scalar_mul(glv_lambda(), p).to_affine(), image) << i;
+  }
+}
+
+/// Inverse edges modulo m: small values, m - 1, m - 2, every power of two
+/// below m, and values with long runs of zero bits.
+std::vector<U256> inverse_edges(const U256& m) {
+  std::vector<U256> out = {U256::one(), U256{2}, U256{3}, m - U256::one(), m - U256{2},
+                           m >> 1, (m >> 1) + U256::one()};
+  for (unsigned k = 0; k < 256; ++k) out.push_back(U256::one() << k);
+  for (unsigned k = 1; k < 256; k += 17) {
+    out.push_back((U256::one() << 255) | (U256::one() << k));
+    out.push_back((U256::one() << k) + U256::one());
+    out.push_back(U256::max_value() >> k);
+    out.push_back(m - (U256::one() << k));
+  }
+  return out;
+}
+
+TEST(Secp256k1ModInv, ScalarInverseMatchesOracle) {
+  util::Rng rng(14);
+  const U256 n = group_order();
+  std::vector<U256> vs = inverse_edges(n);
+  for (int i = 0; i < 2000; ++i) vs.push_back(rand_u256(rng));
+  const Scalar one = Scalar::reduce(U256::one());
+  for (const U256& raw : vs) {
+    const Scalar a = Scalar::reduce(raw);
+    if (a.is_zero()) continue;
+    const Scalar inv = a.inv();
+    ASSERT_EQ(a * inv, one) << raw.hex();
+    ASSERT_EQ(inv.to_u256(), oracle::Fn().inv(a.to_u256())) << raw.hex();
+    ASSERT_EQ(inv.inv(), a) << raw.hex();
+  }
+}
+
+TEST(Secp256k1ModInv, FieldInverseMatchesOracle) {
+  util::Rng rng(15);
+  const U256 p = field_prime();
+  std::vector<U256> vs = inverse_edges(p);
+  for (int i = 0; i < 2000; ++i) vs.push_back(rand_u256(rng));
+  const FieldElement one = FieldElement::from_u64(1);
+  for (const U256& raw : vs) {
+    const FieldElement a = FieldElement::reduce(raw);
+    if (a.is_zero()) continue;
+    const FieldElement inv = a.inv();
+    ASSERT_EQ(a * inv, one) << raw.hex();
+    ASSERT_EQ(inv.to_u256(), oracle::Fp().inv(a.to_u256())) << raw.hex();
+    ASSERT_EQ(inv.inv(), a) << raw.hex();
+  }
+}
+
+TEST(Secp256k1ModInv, ZeroMapsToZero) {
+  EXPECT_TRUE(Scalar{}.inv().is_zero());
+  EXPECT_TRUE(Scalar::reduce(group_order()).inv().is_zero());
+  EXPECT_TRUE(FieldElement{}.inv().is_zero());
+  EXPECT_TRUE(FieldElement::reduce(field_prime()).inv().is_zero());
 }
 
 /// The same point with a random Z: (X·λ², Y·λ³, Z·λ).
