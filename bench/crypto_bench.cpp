@@ -1,6 +1,6 @@
 // Cryptographic-substrate harness: hashes (generic sizes and the chain's own
-// shapes), secp256k1 (sign, verify, and the joint multiplication and inverses
-// under them) and Merkle roots.
+// shapes), secp256k1 (sign, verify, and the k·G, joint multiplication and
+// inverses under them) and Merkle roots.
 //
 // Backs the feasibility claim: Algorithm-1 verification (hash + ECDSA) runs
 // in well under a millisecond, so providers can gate thousands of reports
@@ -87,16 +87,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The layers under verify and sign, checked the same way: the joint
-  // multiplication against the comb (Q = d·G, so u1·G + u2·Q = (u1 + u2·d)·G)
-  // and each inverse by a·a^-1 = 1.
+  // The layers under verify and sign, checked the same way: k·G from the
+  // fixed-base table against the independent wNAF walk, the joint
+  // multiplication against k·G (Q = d·G, so u1·G + u2·Q = (u1 + u2·d)·G) and
+  // each inverse by a·a^-1 = 1.
   namespace ec = crypto::secp256k1;
   const ec::Scalar u1 = ec::Scalar::reduce(crypto::U256::from_hash(digest));
   const ec::Scalar u2 = ec::Scalar::reduce(sig.s);
   const ec::Scalar d = ec::Scalar::reduce(key.private_key());
   ec::Scalar scalar_x = u1;
   ec::FieldElement field_x = ec::FieldElement::reduce(sig.r);
-  if (ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).to_affine() !=
+  if (ec::scalar_mul_base(d.to_u256()).to_affine() !=
+          ec::scalar_mul(d.to_u256(), ec::generator()).to_affine() ||
+      ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).to_affine() !=
           ec::scalar_mul_base((u1 + u2 * d).to_u256()).to_affine() ||
       scalar_x * scalar_x.inv() != ec::Scalar::reduce(crypto::U256::one()) ||
       field_x * field_x.inv() != ec::FieldElement::from_u64(1)) {
@@ -151,6 +154,9 @@ int main(int argc, char** argv) {
   }));
   ops.push_back(time_op("key_generation", 0, 8, window_s, [&] {
     sink = sink + crypto::KeyPair::generate(rng).public_key().x.low64();
+  }));
+  ops.push_back(time_op("secp256k1_base_mul", 0, 8, window_s, [&] {
+    sink = sink + ec::scalar_mul_base(d.to_u256()).z.is_odd();
   }));
   ops.push_back(time_op("secp256k1_joint_mul", 0, 8, window_s, [&] {
     sink = sink + ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).z.is_odd();

@@ -343,70 +343,73 @@ int wnaf(const Scalar& half, int w, int digits[kHalfDigits]) {
   return len;
 }
 
-constexpr int kWindowG = 8;  ///< wNAF width for G in verify: 64 odd multiples.
-constexpr int kWindowQ = 5;  ///< wNAF width for Q in verify: 8 odd multiples.
-constexpr int kCombBits = 4;
-constexpr int kCombWindows = 256 / kCombBits;
-constexpr int kCombEntries = (1 << kCombBits) - 1;
+constexpr int kWindowG = 10;  ///< wNAF width for G and λG in verify: 256 odd multiples each.
+constexpr int kWindowQ = 5;   ///< wNAF width for Q in verify: 8 odd multiples.
+constexpr int kCombBits = 7;  ///< Signed digit width of k·G's fixed-base table.
+/// Windows of the signed recoding: a digit's carry can reach bit 256, so they
+/// must cover 257 bits.
+constexpr int kCombWindows = (257 + kCombBits - 1) / kCombBits;
+constexpr int kCombEntries = 1 << (kCombBits - 1);  ///< Digits 1..2^(b-1); negatives by y -> -y.
 
-/// The static G tables, built once on first use (thread-safe static init),
-/// odd multiples first, then the comb windows, then the odd multiples of λG:
-///   odd(i)        = (2i+1)·G                       for verify's wNAF (4 KB),
-///   comb(w, j)    = j·2^(4w)·G, j = 1..15          for k·G (60 KB),
-///   lambda_odd(i) = (2i+1)·λG = (β·x, y) of odd(i) for the split's λ half (4 KB).
+/// Affine forms of n Jacobian points, none the identity, with one field
+/// inversion (Montgomery's trick); `out` holds the prefix products of Z on
+/// the way forward.
+void batch_to_affine(const JacobianPoint* in, Ge* out, std::size_t n) {
+  FieldElement acc = FieldElement::from_u64(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].x = acc;
+    acc = acc * in[i].z;
+  }
+  FieldElement inv = acc.inv();
+  for (std::size_t i = n; i-- > 0;) {
+    const FieldElement zinv = inv * out[i].x;
+    inv = inv * in[i].z;
+    const FieldElement zinv2 = zinv.sqr();
+    out[i] = {in[i].x * zinv2, in[i].y * zinv2 * zinv};
+  }
+}
+
+/// The static G tables (180 KB), built once on first use (thread-safe
+/// static init):
+///   odd[i]        = (2i+1)·G                       for verify's wNAF (16 KB),
+///   lambda_odd[i] = (2i+1)·λG = (β·x, y) of odd[i] for the split's λ half (16 KB),
+///   comb[w][j-1]  = j·2^(7w)·G, j = 1..64          for k·G's signed digits (148 KB).
 struct GTables {
   static constexpr std::size_t kOdd = 1 << (kWindowG - 2);
-  std::array<Ge, kOdd + kCombWindows * kCombEntries> entries;
+  std::array<Ge, kOdd> odd;
   std::array<Ge, kOdd> lambda_odd;
-
-  const Ge& odd(std::size_t i) const { return entries[i]; }
-  const Ge& comb(int w, unsigned j) const {
-    return entries[kOdd + static_cast<std::size_t>(w) * kCombEntries + j - 1];
-  }
+  std::array<std::array<Ge, kCombEntries>, kCombWindows> comb;
 
   GTables() {
-    // X and Y go straight into the table while Z waits in `zs`; one field
-    // inversion (Montgomery's trick) then scales every entry to affine in
-    // place, so the build needs no second copy of the table.
-    std::vector<FieldElement> zs;
-    zs.reserve(entries.size());
-    auto put = [&](const JacobianPoint& p) {
-      entries[zs.size()] = {p.x, p.y};
-      zs.push_back(p.z);
+    // Each row is a run of mixed adds of one affine point, brought to affine
+    // by one batch inversion.
+    std::vector<JacobianPoint> row(std::max<std::size_t>(kOdd, kCombEntries));
+    const auto run = [&](const Ge& first, const Ge& step, std::size_t n) {
+      row[0] = {first.x, first.y, FieldElement::from_u64(1)};
+      for (std::size_t i = 1; i < n; ++i) row[i] = madd(row[i - 1], step, row[i - 1].z);
     };
-    const JacobianPoint g = JacobianPoint::from_affine(generator());
-    const JacobianPoint g2 = g.doubled();
-    JacobianPoint cur = g;
-    for (std::size_t i = 0; i < kOdd; ++i) {
-      put(cur);
-      cur = cur.add(g2);
-    }
-    JacobianPoint base = g;
-    for (int w = 0; w < kCombWindows; ++w) {
-      JacobianPoint multiple = base;
-      for (int j = 0; j < kCombEntries; ++j) {
-        put(multiple);
-        multiple = multiple.add(base);
-      }
-      for (int b = 0; b < kCombBits; ++b) base = base.doubled();
-    }
-    std::vector<FieldElement> prefix(zs.size());
-    FieldElement acc = FieldElement::from_u64(1);
-    for (std::size_t i = 0; i < zs.size(); ++i) {
-      prefix[i] = acc;
-      acc = acc * zs[i];
-    }
-    FieldElement inv = acc.inv();
-    for (std::size_t i = zs.size(); i-- > 0;) {
-      const FieldElement zinv = inv * prefix[i];
-      inv = inv * zs[i];
-      const FieldElement zinv2 = zinv.sqr();
-      entries[i] = {entries[i].x * zinv2, entries[i].y * zinv2 * zinv};
-    }
+    const auto doubled = [](const Ge& p) {
+      const JacobianPoint j{p.x, p.y, FieldElement::from_u64(1)};
+      const AffinePoint a = j.doubled().to_affine();
+      return Ge{FieldElement::reduce(a.x), FieldElement::reduce(a.y)};
+    };
+    const Ge g{FieldElement::reduce(kGx), FieldElement::reduce(kGy)};
+    run(g, doubled(g), kOdd);
+    batch_to_affine(row.data(), odd.data(), kOdd);
     const FieldElement beta = FieldElement::reduce(kBeta);
-    for (std::size_t i = 0; i < kOdd; ++i) lambda_odd[i] = {beta * entries[i].x, entries[i].y};
+    for (std::size_t i = 0; i < kOdd; ++i) lambda_odd[i] = {beta * odd[i].x, odd[i].y};
+    // Row w's base is 2^(bw)·G: twice the last entry of row w - 1.
+    Ge base = g;
+    for (auto& window : comb) {
+      run(base, base, kCombEntries);
+      batch_to_affine(row.data(), window.data(), kCombEntries);
+      base = doubled(window.back());
+    }
   }
 };
+
+// Every touched table byte shows in a short-lived process's peak RSS.
+static_assert(sizeof(GTables) <= 192 * 1024, "static G tables over their 192 KB budget");
 
 const GTables& g_tables() {
   static const GTables tables;
@@ -578,13 +581,22 @@ JacobianPoint scalar_mul(const U256& k, const AffinePoint& p) {
 }
 
 JacobianPoint scalar_mul_base(const U256& k) {
+  // Signed b-bit digits: a window reading more than 2^(b-1) becomes its value
+  // minus 2^b and carries one into the next window.
   const U256 v = Scalar::reduce(k).to_u256();
   const GTables& t = g_tables();
   JacobianPoint acc = JacobianPoint::identity();
+  int carry = 0;
   for (int w = 0; w < kCombWindows; ++w) {
-    const unsigned digit =
-        static_cast<unsigned>(v.limb[w / 16] >> ((w % 16) * kCombBits)) & kCombEntries;
-    if (digit != 0) acc = add_ge(acc, t.comb(w, digit));
+    const int bit = w * kCombBits;
+    u64 bits = v.limb[bit / 64] >> (bit % 64);
+    if (bit % 64 + kCombBits > 64 && bit / 64 < 3)
+      bits |= v.limb[bit / 64 + 1] << (64 - bit % 64);
+    const int raw = static_cast<int>(bits & ((1U << kCombBits) - 1)) + carry;
+    carry = raw > kCombEntries;
+    const int digit = raw - (carry << kCombBits);
+    if (digit > 0) acc = add_ge(acc, t.comb[w][digit - 1]);
+    if (digit < 0) acc = add_ge(acc, neg_ge(t.comb[w][-digit - 1]));
   }
   return acc;
 }
@@ -677,7 +689,7 @@ JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoin
     r = r.doubled();
     if (d_q[i] != 0) r = add_ge(r, pick(q_odd, d_q[i]));
     if (d_lq[i] != 0) r = add_ge(r, pick(q_lambda, d_lq[i]));
-    if (d_g[i] != 0) r = add_ge_scaled(r, pick(&t.odd(0), d_g[i]), s);
+    if (d_g[i] != 0) r = add_ge_scaled(r, pick(t.odd.data(), d_g[i]), s);
     if (d_lg[i] != 0) r = add_ge_scaled(r, pick(t.lambda_odd.data(), d_lg[i]), s);
   }
   r.z = r.z * s;
@@ -813,29 +825,6 @@ std::optional<U256> sqrt_mod_p(const U256& a) {
   const auto root = FieldElement::reduce(a).sqrt();
   if (!root) return std::nullopt;
   return root->to_u256();
-}
-
-util::Bytes encode_public_compressed(const AffinePoint& pub) {
-  util::Bytes out(33);
-  out[0] = pub.y.bit(0) ? 0x03 : 0x02;
-  pub.x.to_be_bytes(out.data() + 1);
-  return out;
-}
-
-std::optional<AffinePoint> decode_public_compressed(util::ByteSpan data) {
-  if (data.size() != 33) return std::nullopt;
-  if (data[0] != 0x02 && data[0] != 0x03) return std::nullopt;
-  const auto x = FieldElement::from_canonical(U256::from_be_bytes(data.subspan(1, 32)));
-  if (!x) return std::nullopt;
-  // y^2 = x^3 + 7; pick the root whose parity matches the tag.
-  const auto y = (x->sqr() * *x + FieldElement::from_u64(7)).sqrt();
-  if (!y) return std::nullopt;
-  const bool want_odd = data[0] == 0x03;
-  AffinePoint p;
-  p.x = x->to_u256();
-  p.y = (y->is_odd() == want_odd ? *y : y->neg()).to_u256();
-  p.infinity = false;
-  return p;
 }
 
 }  // namespace sc::crypto::secp256k1

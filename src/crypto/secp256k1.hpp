@@ -7,9 +7,10 @@
 //     root) and a scalar type modulo the group order n, both inverted by one
 //     variable-time Bernstein–Yang divsteps routine,
 //   - Jacobian-coordinate point arithmetic with mixed Jacobian+affine adds,
-//   - k·G from a precomputed fixed-window table (sign, key derivation) and
-//     u1·G + u2·Q jointly by a four-way Strauss–Shamir walk over wNAF, each
-//     scalar split in two 128-bit halves by the curve's endomorphism (verify),
+//   - k·G from a precomputed signed-digit fixed-base table (sign, key
+//     derivation) and u1·G + u2·Q jointly by a four-way Strauss–Shamir walk
+//     over wNAF, each scalar split in two 128-bit halves by the curve's
+//     endomorphism (verify),
 //   - RFC-6979 deterministic nonces (no RNG dependence; signing is a pure
 //     function of key and message, which keeps simulations reproducible),
 //   - low-s normalised ECDSA signatures (Ethereum convention).
@@ -295,8 +296,8 @@ const AffinePoint& generator();
 
 /// k·P by wNAF (not constant time); k is taken mod n.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
-/// k·G from the precomputed fixed-window table: one mixed add per 4-bit
-/// window, no doublings. k is taken mod n.
+/// k·G from the precomputed fixed-base table: one mixed add per nonzero
+/// signed 7-bit digit, no doublings. k is taken mod n.
 JacobianPoint scalar_mul_base(const U256& k);
 /// The endomorphism λ·(x, y) = (β·x, y): λ (mod n) and β (mod p) are
 /// non-trivial cube roots of unity.
@@ -355,10 +356,5 @@ std::optional<AffinePoint> decode_public(util::ByteSpan data);
 /// Square root modulo p (p ≡ 3 mod 4, so sqrt(a) = a^((p+1)/4) when a is a
 /// quadratic residue). Returns nullopt for non-residues.
 std::optional<U256> sqrt_mod_p(const U256& a);
-
-/// SEC-1 compressed 33-byte encoding: 0x02/0x03 parity tag + X.
-util::Bytes encode_public_compressed(const AffinePoint& pub);
-/// Decompresses; rejects bad tags and X values off the curve.
-std::optional<AffinePoint> decode_public_compressed(util::ByteSpan data);
 
 }  // namespace sc::crypto::secp256k1

@@ -4,9 +4,9 @@
 // sign() goldens recorded from the generic implementation.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
-#include "crypto/batch_verify.hpp"
 #include "crypto/sha256.hpp"
 #include "secp256k1_oracle.hpp"
 #include "util/rng.hpp"
@@ -129,10 +129,26 @@ std::vector<U256> scalar_edges(util::Rng& rng) {
           U256::max_value(), rand_scalar(rng), rand_scalar(rng)};
 }
 
+/// A scalar whose every b-bit window below bit 256 reads `window`.
+U256 repeated_window(unsigned b, std::uint64_t window) {
+  U256 k;
+  for (unsigned bit = 0; bit + b <= 256; bit += b) k = k | (U256{window} << bit);
+  return k;
+}
+
 TEST(Secp256k1Oracle, BaseMultiplicationMatches) {
   util::Rng rng(5);
+  // scalar_edges covers 0 and n (the identity), 1, 2, 2^256 - 1 (reduced
+  // first) and n - 1, whose carry runs through every window into the top one.
   std::vector<U256> ks = scalar_edges(rng);
   for (int i = 0; i < 40; ++i) ks.push_back(rand_scalar(rng));
+  // The signed recoding at each digit width b a table could use (k·G's uses
+  // 7): every window 2^(b-1), the largest positive digit with no carry, and
+  // every window 2^(b-1) + 1, a negative digit carrying into the next window.
+  for (unsigned b = 5; b <= 8; ++b) {
+    ks.push_back(repeated_window(b, 1ULL << (b - 1)));
+    ks.push_back(repeated_window(b, (1ULL << (b - 1)) + 1));
+  }
   for (const U256& k : ks)
     EXPECT_EQ(scalar_mul_base(k).to_affine(), oracle::scalar_mul_base(k).to_affine())
         << k.hex();
@@ -166,6 +182,15 @@ TEST(Secp256k1Oracle, JointMultiplicationMatches) {
   const AffinePoint q = derive_public(rand_scalar(rng));
   std::vector<U256> ks = scalar_edges(rng);
   for (const U256& k : split_edges()) ks.push_back(k);
+  // Halves of ±(2^(w-1) - 1) for verify's G window w = 10: the last entry of
+  // the G and λG tables, with both signs.
+  const U256 n = group_order();
+  const U256 top{(1U << 9) - 1};
+  const U256 lambda_top = oracle::Fn().mul(glv_lambda(), top);
+  const auto [t1, t2] = split_lambda(Scalar::reduce(lambda_top));
+  EXPECT_TRUE(t1.is_zero());
+  EXPECT_EQ(t2.to_u256(), top);
+  for (const U256& k : {top, n - top, lambda_top, n - lambda_top}) ks.push_back(k);
   for (const U256& u1 : ks) {
     for (const U256& u2 : ks) {
       const AffinePoint expect =
@@ -454,21 +479,33 @@ TEST(Secp256k1Oracle, SignGoldensAreByteIdentical) {
 }
 
 TEST(Secp256k1Oracle, FourLanesRaceTheFirstTableUse) {
-  // Keys and signatures come from the oracle, so the library's static G
-  // tables are first touched inside batch_verify by four lanes at once (each
-  // ctest case is its own process). Under TSan this is the check that the
-  // one-time table build is race-free.
-  std::vector<VerifyJob> jobs;
-  for (const Golden& g : kSignGoldens) {
-    const U256 d = U256::from_hex(g.d);
-    const Hash256 z = Sha256::digest(util::as_bytes(g.message));
-    jobs.push_back({oracle::derive_public(d), z,
-                    {U256::from_hex(g.r), U256::from_hex(g.s)}});
+  // Public keys come from the oracle, so the library's static G tables are
+  // first touched by four lanes at once (each ctest case is its own
+  // process): two lanes start by signing, which reads the k·G table, and two
+  // by verifying, which reads the odd-multiples tables. Under TSan this is
+  // the check that the one-time table build is race-free.
+  constexpr unsigned kLanes = 4;
+  constexpr std::size_t kCount = std::size(kSignGoldens);
+  std::vector<Signature> sigs(kCount);
+  std::vector<char> verified(kCount, 0);
+  util::ThreadPool pool(kLanes - 1);
+  pool.for_shards(kLanes, [&](unsigned lane) {
+    for (std::size_t i = lane; i < kCount; i += kLanes) {
+      const Golden& g = kSignGoldens[i];
+      const U256 d = U256::from_hex(g.d);
+      const Hash256 z = Sha256::digest(util::as_bytes(g.message));
+      const Signature golden{U256::from_hex(g.r), U256::from_hex(g.s)};
+      const auto check = [&] { verified[i] = verify(oracle::derive_public(d), z, golden); };
+      if (lane % 2 == 1) check();
+      sigs[i] = sign(d, z);
+      if (lane % 2 == 0) check();
+    }
+  });
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(sigs[i].r.hex(), kSignGoldens[i].r) << i;
+    EXPECT_EQ(sigs[i].s.hex(), kSignGoldens[i].s) << i;
+    EXPECT_TRUE(verified[i]) << i;
   }
-  util::ThreadPool pool(3);
-  const std::vector<bool> ok = batch_verify(jobs, &pool);
-  ASSERT_EQ(ok.size(), jobs.size());
-  for (std::size_t i = 0; i < ok.size(); ++i) EXPECT_TRUE(ok[i]) << i;
 }
 
 }  // namespace

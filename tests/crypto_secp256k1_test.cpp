@@ -1,7 +1,10 @@
 // secp256k1 field, group and ECDSA tests: fixed generator vectors,
 // algebraic laws and RFC-6979 determinism. (Differential checks against the
-// generic oracle live in crypto_secp256k1_oracle_test.cpp.)
+// generic oracle live in crypto_secp256k1_oracle_test.cpp.) The SEC-1
+// compressed-key codec lives here, next to its tests: no product code uses it.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
@@ -277,6 +280,31 @@ TEST(Secp256k1Sqrt, NonResidueRejected) {
   // -1 is a non-residue mod p (p ≡ 3 mod 4).
   EXPECT_FALSE(sqrt_mod_p(field_prime() - U256::one()).has_value());
   EXPECT_EQ(sqrt_mod_p(U256::zero()), U256::zero());
+}
+
+/// SEC-1 compressed 33-byte encoding: 0x02/0x03 parity tag + X.
+util::Bytes encode_public_compressed(const AffinePoint& pub) {
+  util::Bytes out(33);
+  out[0] = pub.y.bit(0) ? 0x03 : 0x02;
+  pub.x.to_be_bytes(out.data() + 1);
+  return out;
+}
+
+/// Decompresses; rejects bad tags and X values off the curve.
+std::optional<AffinePoint> decode_public_compressed(util::ByteSpan data) {
+  if (data.size() != 33) return std::nullopt;
+  if (data[0] != 0x02 && data[0] != 0x03) return std::nullopt;
+  const auto x = FieldElement::from_canonical(U256::from_be_bytes(data.subspan(1, 32)));
+  if (!x) return std::nullopt;
+  // y^2 = x^3 + 7; pick the root whose parity matches the tag.
+  const auto y = (x->sqr() * *x + FieldElement::from_u64(7)).sqrt();
+  if (!y) return std::nullopt;
+  const bool want_odd = data[0] == 0x03;
+  AffinePoint p;
+  p.x = x->to_u256();
+  p.y = (y->is_odd() == want_odd ? *y : y->neg()).to_u256();
+  p.infinity = false;
+  return p;
 }
 
 TEST(Secp256k1Compressed, RoundTripBothParities) {
