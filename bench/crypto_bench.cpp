@@ -10,8 +10,9 @@
 // Each operation runs in batches until ~0.2 s (0.02 s for --runs=small) have
 // passed; the reported figure is the median batch's ns per operation, so a
 // scheduler hiccup in one batch does not move it. Before timing, sign,
-// verify, the joint multiplication and the inverses are checked against a
-// fixed key: a fast wrong answer aborts the harness.
+// verify, the joint multiplication, the inverses and the field product and
+// square are checked against a fixed key: a fast wrong answer aborts the
+// harness.
 //
 // Results print as a table and persist to BENCH_crypto.json (schema in
 // EXPERIMENTS.md).
@@ -89,20 +90,23 @@ int main(int argc, char** argv) {
 
   // The layers under verify and sign, checked the same way: k·G from the
   // fixed-base table against the independent wNAF walk, the joint
-  // multiplication against k·G (Q = d·G, so u1·G + u2·Q = (u1 + u2·d)·G) and
-  // each inverse by a·a^-1 = 1.
+  // multiplication against k·G (Q = d·G, so u1·G + u2·Q = (u1 + u2·d)·G),
+  // each inverse by a·a^-1 = 1, the field product by (a·b)·b^-1 = a and the
+  // square by a² = a·a.
   namespace ec = crypto::secp256k1;
   const ec::Scalar u1 = ec::Scalar::reduce(crypto::U256::from_hash(digest));
   const ec::Scalar u2 = ec::Scalar::reduce(sig.s);
   const ec::Scalar d = ec::Scalar::reduce(key.private_key());
   ec::Scalar scalar_x = u1;
   ec::FieldElement field_x = ec::FieldElement::reduce(sig.r);
+  const ec::FieldElement field_y = ec::FieldElement::reduce(sig.s);
   if (ec::scalar_mul_base(d.to_u256()).to_affine() !=
           ec::scalar_mul(d.to_u256(), ec::generator()).to_affine() ||
       ec::double_scalar_mul(u1.to_u256(), u2.to_u256(), key.public_key()).to_affine() !=
           ec::scalar_mul_base((u1 + u2 * d).to_u256()).to_affine() ||
       scalar_x * scalar_x.inv() != ec::Scalar::reduce(crypto::U256::one()) ||
-      field_x * field_x.inv() != ec::FieldElement::from_u64(1)) {
+      field_x * field_x.inv() != ec::FieldElement::from_u64(1) ||
+      (field_x * field_y) * field_y.inv() != field_x || field_x.sqr() != field_x * field_x) {
     std::printf("FATAL: secp256k1 layer self-check failed\n");
     return 1;
   }
@@ -169,7 +173,22 @@ int main(int argc, char** argv) {
   ops.push_back(time_op("field_inverse", 0, 64, window_s, [&] {
     field_x = field_x.inv() + ec::FieldElement::from_u64(1);
   }));
-  sink = sink + scalar_x.to_u256().low64() + field_x.to_u256().low64();
+  // The field product and square as dependent chains (x = x·y, x = x²), 256
+  // per call so the call itself is amortized: one multiply's latency, the
+  // unit every point formula is made of.
+  constexpr int kChain = 256;
+  ec::FieldElement chain_x = field_x;
+  const auto chain = [&](const char* name, auto step) {
+    OpResult r = time_op(name, 0, 16, window_s, [&] {
+      for (int i = 0; i < kChain; ++i) chain_x = step(chain_x);
+    });
+    r.ns_per_op /= kChain;
+    ops.push_back(r);
+  };
+  chain("field_mul", [&](const ec::FieldElement& x) { return x * field_y; });
+  chain("field_sqr", [](const ec::FieldElement& x) { return x.sqr(); });
+  sink = sink + scalar_x.to_u256().low64() + field_x.to_u256().low64() +
+         chain_x.to_u256().low64();
   for (const std::size_t n : {16, 256, 1024}) {
     std::vector<crypto::Hash256> leaves(n);
     for (auto& leaf : leaves) {

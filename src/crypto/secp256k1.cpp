@@ -14,7 +14,6 @@ namespace {
 
 using detail::u64;
 using detail::u128;
-using detail::mul_512;
 
 // Little-endian limbs, constant-initialised (no static-init order hazard).
 constexpr U256 kP{0xFFFFFFFEFFFFFC2FULL, ~0ULL, ~0ULL, ~0ULL};
@@ -36,6 +35,31 @@ constexpr U256 kBeta{0xC1396C28719501EEULL, 0x9CF0497512F58995ULL, 0x6E64479EAC3
                      0x7AE96A2B657C0710ULL};
 
 // -- Scalar (mod n) limb kernels -----------------------------------------------
+
+/// t = a·b, 512 bits, row by row (each row one carry chain).
+[[gnu::always_inline]] inline void mul_512(const u64 a[4], const u64 b[4], u64 t[8]) {
+  u128 c = static_cast<u128>(a[0]) * b[0];
+  t[0] = static_cast<u64>(c);
+  c = (c >> 64) + static_cast<u128>(a[0]) * b[1];
+  t[1] = static_cast<u64>(c);
+  c = (c >> 64) + static_cast<u128>(a[0]) * b[2];
+  t[2] = static_cast<u64>(c);
+  c = (c >> 64) + static_cast<u128>(a[0]) * b[3];
+  t[3] = static_cast<u64>(c);
+  t[4] = static_cast<u64>(c >> 64);
+#pragma GCC unroll 3
+  for (int i = 1; i < 4; ++i) {
+    c = static_cast<u128>(a[i]) * b[0] + t[i];
+    t[i] = static_cast<u64>(c);
+    c = (c >> 64) + static_cast<u128>(a[i]) * b[1] + t[i + 1];
+    t[i + 1] = static_cast<u64>(c);
+    c = (c >> 64) + static_cast<u128>(a[i]) * b[2] + t[i + 2];
+    t[i + 2] = static_cast<u64>(c);
+    c = (c >> 64) + static_cast<u128>(a[i]) * b[3] + t[i + 3];
+    t[i + 3] = static_cast<u64>(c);
+    t[i + 4] = static_cast<u64>(c >> 64);
+  }
+}
 
 /// r = t mod n: folds 2^256 ≡ 2^256 - n (three limbs) until the high half
 /// vanishes (at most four rounds), then at most one subtract.
@@ -260,11 +284,21 @@ void modinv(const u64 a[4], const ModInfo& mod, u64 r[4]) {
 
 // -- Group internals -------------------------------------------------------------
 
-/// Affine point over field elements: the entries of the precomputed tables.
+/// Affine point over field elements: the entries of the per-call Q tables.
 struct Ge {
   FieldElement x;
   FieldElement y;
 };
+
+/// An affine point as two fully reduced 4×64 coordinates, 64 bytes instead of
+/// Ge's 80: the form of the static G tables, unpacked at lookup.
+struct PackedGe {
+  U256 x;
+  U256 y;
+};
+
+Ge unpack(const PackedGe& g) { return {FieldElement::reduce(g.x), FieldElement::reduce(g.y)}; }
+Ge unpack(const Ge& g) { return g; }
 
 /// P + Q for Jacobian P (not the identity) and affine Q (madd: 8M + 3S).
 /// `az` brings Q into P's coordinates: P's own Z, or P's Z times s when P
@@ -369,24 +403,28 @@ void batch_to_affine(const JacobianPoint* in, Ge* out, std::size_t n) {
   }
 }
 
-/// The static G tables (180 KB), built once on first use (thread-safe
-/// static init):
+/// The static G tables (180 KB of packed entries), built once on first use
+/// (thread-safe static init):
 ///   odd[i]        = (2i+1)·G                       for verify's wNAF (16 KB),
 ///   lambda_odd[i] = (2i+1)·λG = (β·x, y) of odd[i] for the split's λ half (16 KB),
 ///   comb[w][j-1]  = j·2^(7w)·G, j = 1..64          for k·G's signed digits (148 KB).
 struct GTables {
   static constexpr std::size_t kOdd = 1 << (kWindowG - 2);
-  std::array<Ge, kOdd> odd;
-  std::array<Ge, kOdd> lambda_odd;
-  std::array<std::array<Ge, kCombEntries>, kCombWindows> comb;
+  std::array<PackedGe, kOdd> odd;
+  std::array<PackedGe, kOdd> lambda_odd;
+  std::array<std::array<PackedGe, kCombEntries>, kCombWindows> comb;
 
   GTables() {
     // Each row is a run of mixed adds of one affine point, brought to affine
-    // by one batch inversion.
-    std::vector<JacobianPoint> row(std::max<std::size_t>(kOdd, kCombEntries));
-    const auto run = [&](const Ge& first, const Ge& step, std::size_t n) {
+    // by one batch inversion, then packed.
+    constexpr std::size_t kRow = std::max<std::size_t>(kOdd, kCombEntries);
+    std::vector<JacobianPoint> row(kRow);
+    std::vector<Ge> affine(kRow);
+    const auto run = [&](const Ge& first, const Ge& step, std::size_t n, PackedGe* out) {
       row[0] = {first.x, first.y, FieldElement::from_u64(1)};
       for (std::size_t i = 1; i < n; ++i) row[i] = madd(row[i - 1], step, row[i - 1].z);
+      batch_to_affine(row.data(), affine.data(), n);
+      for (std::size_t i = 0; i < n; ++i) out[i] = {affine[i].x.to_u256(), affine[i].y.to_u256()};
     };
     const auto doubled = [](const Ge& p) {
       const JacobianPoint j{p.x, p.y, FieldElement::from_u64(1)};
@@ -394,16 +432,15 @@ struct GTables {
       return Ge{FieldElement::reduce(a.x), FieldElement::reduce(a.y)};
     };
     const Ge g{FieldElement::reduce(kGx), FieldElement::reduce(kGy)};
-    run(g, doubled(g), kOdd);
-    batch_to_affine(row.data(), odd.data(), kOdd);
+    run(g, doubled(g), kOdd, odd.data());
     const FieldElement beta = FieldElement::reduce(kBeta);
-    for (std::size_t i = 0; i < kOdd; ++i) lambda_odd[i] = {beta * odd[i].x, odd[i].y};
+    for (std::size_t i = 0; i < kOdd; ++i)
+      lambda_odd[i] = {(beta * FieldElement::reduce(odd[i].x)).to_u256(), odd[i].y};
     // Row w's base is 2^(bw)·G: twice the last entry of row w - 1.
     Ge base = g;
     for (auto& window : comb) {
-      run(base, base, kCombEntries);
-      batch_to_affine(row.data(), window.data(), kCombEntries);
-      base = doubled(window.back());
+      run(base, base, kCombEntries, window.data());
+      base = doubled(unpack(window.back()));
     }
   }
 };
@@ -425,42 +462,33 @@ const U256& group_order() { return kN; }
 
 std::optional<FieldElement> FieldElement::from_canonical(const U256& v) {
   if (v >= kP) return std::nullopt;
-  return FieldElement(v.limb[0], v.limb[1], v.limb[2], v.limb[3]);
+  return reduce(v);
 }
 
-namespace {
-
-FieldElement sqr_n(FieldElement a, int n) {
-  for (int i = 0; i < n; ++i) a = a.sqr();
-  return a;
+U256 FieldElement::to_u256() const {
+  // After a weak normalization the value is below 2p. It is >= p when it
+  // reached 2^256, or when limbs 1-4 read p's and limb 0 at least p's;
+  // subtracting p then is adding 2^256 - p and dropping bit 256.
+  using detail::kM48;
+  using detail::kM52;
+  u64 t[5] = {n_[0], n_[1], n_[2], n_[3], n_[4]};
+  detail::fe_normalize_weak(t);
+  const u64 ge_p = (t[4] >> 48) | ((t[4] == kM48) & ((t[1] & t[2] & t[3]) == kM52) &
+                                   (t[0] >= detail::kP0));
+  t[0] += ge_p * detail::kFold;
+  for (int i = 0; i < 4; ++i) {
+    t[i + 1] += t[i] >> 52;
+    t[i] &= kM52;
+  }
+  // Bit 256 (limb 4's bit 48) falls off the top in the shift below.
+  return {t[0] | (t[1] << 52), (t[1] >> 12) | (t[2] << 40), (t[2] >> 24) | (t[3] << 28),
+          (t[3] >> 36) | (t[4] << 16)};
 }
-
-}  // namespace
 
 FieldElement FieldElement::inv() const {
-  FieldElement r;
-  modinv(n_, kFieldMod, r.n_);
-  return r;
-}
-
-std::optional<FieldElement> FieldElement::sqrt() const {
-  // (p + 1) / 4 = 223 ones, 0, 22 ones, 000000, 11, 00; x_k = a^(2^k - 1).
-  const FieldElement x2 = sqr() * *this;
-  const FieldElement x3 = x2.sqr() * *this;
-  const FieldElement x6 = sqr_n(x3, 3) * x3;
-  const FieldElement x9 = sqr_n(x6, 3) * x3;
-  const FieldElement x11 = sqr_n(x9, 2) * x2;
-  const FieldElement x22 = sqr_n(x11, 11) * x11;
-  const FieldElement x44 = sqr_n(x22, 22) * x22;
-  const FieldElement x88 = sqr_n(x44, 44) * x44;
-  const FieldElement x176 = sqr_n(x88, 88) * x88;
-  const FieldElement x220 = sqr_n(x176, 44) * x44;
-  const FieldElement x223 = sqr_n(x220, 3) * x3;
-  FieldElement t = sqr_n(x223, 23) * x22;
-  t = sqr_n(t, 6) * x2;
-  const FieldElement root = sqr_n(t, 2);
-  if (root.sqr() != *this) return std::nullopt;
-  return root;
+  U256 r;
+  modinv(to_u256().limb, kFieldMod, r.limb);
+  return reduce(r);
 }
 
 // -- Scalar ------------------------------------------------------------------------
@@ -595,8 +623,8 @@ JacobianPoint scalar_mul_base(const U256& k) {
     const int raw = static_cast<int>(bits & ((1U << kCombBits) - 1)) + carry;
     carry = raw > kCombEntries;
     const int digit = raw - (carry << kCombBits);
-    if (digit > 0) acc = add_ge(acc, t.comb[w][digit - 1]);
-    if (digit < 0) acc = add_ge(acc, neg_ge(t.comb[w][-digit - 1]));
+    if (digit > 0) acc = add_ge(acc, unpack(t.comb[w][digit - 1]));
+    if (digit < 0) acc = add_ge(acc, neg_ge(unpack(t.comb[w][-digit - 1])));
   }
   return acc;
 }
@@ -680,8 +708,8 @@ JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoin
   }
   const GTables& t = g_tables();
 
-  const auto pick = [](const Ge* table, int d) {
-    const Ge& m = table[std::abs(d) / 2];
+  const auto pick = [](const auto* table, int d) {
+    const Ge m = unpack(table[std::abs(d) / 2]);
     return d > 0 ? m : neg_ge(m);
   };
   JacobianPoint r = JacobianPoint::identity();
@@ -819,12 +847,6 @@ std::optional<AffinePoint> decode_public(util::ByteSpan data) {
   p.infinity = false;
   if (!p.is_on_curve()) return std::nullopt;  // also rejects x or y >= p
   return p;
-}
-
-std::optional<U256> sqrt_mod_p(const U256& a) {
-  const auto root = FieldElement::reduce(a).sqrt();
-  if (!root) return std::nullopt;
-  return root->to_u256();
 }
 
 }  // namespace sc::crypto::secp256k1

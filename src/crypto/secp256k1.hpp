@@ -2,10 +2,10 @@
 //
 // The paper's prototype signs SRAs and detection reports with ECDSA over
 // secp256k1 and verifies them in Algorithm 1. We implement:
-//   - a dedicated base-field element (four 64-bit limbs, folding
-//     2^256 ≡ 0x1000003D1 one limb product at a time, addition-chain square
-//     root) and a scalar type modulo the group order n, both inverted by one
-//     variable-time Bernstein–Yang divsteps routine,
+//   - a dedicated base-field element (five 52-bit limbs reduced lazily:
+//     carry-free additions, products that fold 2^256 ≡ 0x1000003D1 into
+//     their column sums) and a scalar type modulo the group order n, both
+//     inverted by one variable-time Bernstein–Yang divsteps routine,
 //   - Jacobian-coordinate point arithmetic with mixed Jacobian+affine adds,
 //   - k·G from a precomputed signed-digit fixed-base table (sign, key
 //     derivation) and u1·G + u2·Q jointly by a four-way Strauss–Shamir walk
@@ -42,202 +42,243 @@ namespace detail {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
-/// 2^256 - p: a fold multiplies a limb by this 33-bit constant.
+/// 2^256 - p: a fold multiplies by this 33-bit constant.
 inline constexpr u64 kFold = 0x1000003D1ULL;
+inline constexpr u64 kM52 = 0xFFFFFFFFFFFFFULL;  ///< A full 52-bit limb.
+inline constexpr u64 kM48 = 0xFFFFFFFFFFFFULL;   ///< The top limb's 48 bits.
+/// p's limb 0; its limbs 1-3 are kM52 and limb 4 is kM48.
+inline constexpr u64 kP0 = 0xFFFFEFFFFFC2FULL;
+/// 2^260 mod p: what the fifth limb position folds to.
+inline constexpr u64 kR = kFold << 4;
 
-/// t = a·b, 512 bits, row by row (each row one carry chain).
-[[gnu::always_inline]] inline void mul_512(const u64 a[4], const u64 b[4], u64 t[8]) {
-  u128 c = static_cast<u128>(a[0]) * b[0];
-  t[0] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[0]) * b[1];
-  t[1] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[0]) * b[2];
-  t[2] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[0]) * b[3];
-  t[3] = static_cast<u64>(c);
-  t[4] = static_cast<u64>(c >> 64);
-#pragma GCC unroll 3
-  for (int i = 1; i < 4; ++i) {
-    c = static_cast<u128>(a[i]) * b[0] + t[i];
-    t[i] = static_cast<u64>(c);
-    c = (c >> 64) + static_cast<u128>(a[i]) * b[1] + t[i + 1];
-    t[i + 1] = static_cast<u64>(c);
-    c = (c >> 64) + static_cast<u128>(a[i]) * b[2] + t[i + 2];
-    t[i + 2] = static_cast<u64>(c);
-    c = (c >> 64) + static_cast<u128>(a[i]) * b[3] + t[i + 3];
-    t[i + 3] = static_cast<u64>(c);
-    t[i + 4] = static_cast<u64>(c >> 64);
-  }
+// The 5×52 product and square (libsecp256k1's field_5x52_int128). Column k
+// of the 9-column product sits at 2^(52k); columns 5..8 fold into columns
+// 0..3 as they are summed, by 2^260 ≡ kR, in the order 3, 4, 0, 1, 2, 3, 4
+// so that no 128-bit accumulator overflows. A column's low 64 bits fold by
+// kR and its bits above 64 by kR·2^12, one column lower; bits 256..259 of
+// column 4 fold by kFold. Inputs: limbs 0-3 below 2^56, limb 4 below 2^52
+// (magnitude 8). Output: limbs 0-3 below 2^52, limb 4 below 2^49
+// (magnitude 1).
+
+/// r = a·b mod p, r distinct from a and b.
+[[gnu::always_inline]] inline void fe_mul(const u64 a[5], const u64 b[5], u64 r[5]) {
+  const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+  u128 d = static_cast<u128>(a0) * b[3] + static_cast<u128>(a1) * b[2] +
+           static_cast<u128>(a2) * b[1] + static_cast<u128>(a3) * b[0];
+  u128 c = static_cast<u128>(a4) * b[4];
+  d += static_cast<u128>(kR) * static_cast<u64>(c);
+  c >>= 64;
+  const u64 t3 = static_cast<u64>(d) & kM52;
+  d >>= 52;
+
+  d += static_cast<u128>(a0) * b[4] + static_cast<u128>(a1) * b[3] +
+       static_cast<u128>(a2) * b[2] + static_cast<u128>(a3) * b[1] +
+       static_cast<u128>(a4) * b[0];
+  d += static_cast<u128>(kR << 12) * static_cast<u64>(c);
+  u64 t4 = static_cast<u64>(d) & kM52;
+  d >>= 52;
+  const u64 tx = t4 >> 48;
+  t4 &= kM48;
+
+  c = static_cast<u128>(a0) * b[0];
+  d += static_cast<u128>(a1) * b[4] + static_cast<u128>(a2) * b[3] +
+       static_cast<u128>(a3) * b[2] + static_cast<u128>(a4) * b[1];
+  const u64 u0 = ((static_cast<u64>(d) & kM52) << 4) | tx;
+  d >>= 52;
+  c += static_cast<u128>(u0) * kFold;
+  r[0] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  c += static_cast<u128>(a0) * b[1] + static_cast<u128>(a1) * b[0];
+  d += static_cast<u128>(a2) * b[4] + static_cast<u128>(a3) * b[3] +
+       static_cast<u128>(a4) * b[2];
+  c += static_cast<u128>(static_cast<u64>(d) & kM52) * kR;
+  d >>= 52;
+  r[1] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  c += static_cast<u128>(a0) * b[2] + static_cast<u128>(a1) * b[1] +
+       static_cast<u128>(a2) * b[0];
+  d += static_cast<u128>(a3) * b[4] + static_cast<u128>(a4) * b[3];
+  c += static_cast<u128>(kR) * static_cast<u64>(d);
+  d >>= 64;
+  r[2] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  c += static_cast<u128>(kR << 12) * static_cast<u64>(d) + t3;
+  r[3] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+  r[4] = static_cast<u64>(c) + t4;
 }
 
-/// t = a², 512 bits: the six cross products once, doubled by a shift, then
-/// the four squares on the diagonal (10 limb products instead of 16).
-[[gnu::always_inline]] inline void sqr_512(const u64 a[4], u64 t[8]) {
-  u128 c = static_cast<u128>(a[0]) * a[1];
-  t[1] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[0]) * a[2];
-  t[2] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[0]) * a[3];
-  t[3] = static_cast<u64>(c);
-  t[4] = static_cast<u64>(c >> 64);
-  c = static_cast<u128>(a[1]) * a[2] + t[3];
-  t[3] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[1]) * a[3] + t[4];
-  t[4] = static_cast<u64>(c);
-  t[5] = static_cast<u64>(c >> 64);
-  c = static_cast<u128>(a[2]) * a[3] + t[5];
-  t[5] = static_cast<u64>(c);
-  t[6] = static_cast<u64>(c >> 64);
-  t[7] = t[6] >> 63;
-  t[6] = (t[6] << 1) | (t[5] >> 63);
-  t[5] = (t[5] << 1) | (t[4] >> 63);
-  t[4] = (t[4] << 1) | (t[3] >> 63);
-  t[3] = (t[3] << 1) | (t[2] >> 63);
-  t[2] = (t[2] << 1) | (t[1] >> 63);
-  t[1] <<= 1;
-  c = static_cast<u128>(a[0]) * a[0];
-  t[0] = static_cast<u64>(c);
-  c = (c >> 64) + t[1];
-  t[1] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[1]) * a[1] + t[2];
-  t[2] = static_cast<u64>(c);
-  c = (c >> 64) + t[3];
-  t[3] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[2]) * a[2] + t[4];
-  t[4] = static_cast<u64>(c);
-  c = (c >> 64) + t[5];
-  t[5] = static_cast<u64>(c);
-  c = (c >> 64) + static_cast<u128>(a[3]) * a[3] + t[6];
-  t[6] = static_cast<u64>(c);
-  t[7] += static_cast<u64>(c >> 64);
+/// r = a² mod p, r distinct from a: fe_mul's columns with each cross
+/// product taken once and doubled.
+[[gnu::always_inline]] inline void fe_sqr(const u64 a[5], u64 r[5]) {
+  u64 a0 = a[0], a4 = a[4];
+  const u64 a1 = a[1], a2 = a[2], a3 = a[3];
+  u128 d = static_cast<u128>(a0 * 2) * a3 + static_cast<u128>(a1 * 2) * a2;
+  u128 c = static_cast<u128>(a4) * a4;
+  d += static_cast<u128>(kR) * static_cast<u64>(c);
+  c >>= 64;
+  const u64 t3 = static_cast<u64>(d) & kM52;
+  d >>= 52;
+
+  a4 *= 2;
+  d += static_cast<u128>(a0) * a4 + static_cast<u128>(a1 * 2) * a3 +
+       static_cast<u128>(a2) * a2;
+  d += static_cast<u128>(kR << 12) * static_cast<u64>(c);
+  u64 t4 = static_cast<u64>(d) & kM52;
+  d >>= 52;
+  const u64 tx = t4 >> 48;
+  t4 &= kM48;
+
+  c = static_cast<u128>(a0) * a0;
+  d += static_cast<u128>(a1) * a4 + static_cast<u128>(a2 * 2) * a3;
+  const u64 u0 = ((static_cast<u64>(d) & kM52) << 4) | tx;
+  d >>= 52;
+  c += static_cast<u128>(u0) * kFold;
+  r[0] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  a0 *= 2;
+  c += static_cast<u128>(a0) * a1;
+  d += static_cast<u128>(a2) * a4 + static_cast<u128>(a3) * a3;
+  c += static_cast<u128>(static_cast<u64>(d) & kM52) * kR;
+  d >>= 52;
+  r[1] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  c += static_cast<u128>(a0) * a2 + static_cast<u128>(a1) * a1;
+  d += static_cast<u128>(a3) * a4;
+  c += static_cast<u128>(kR) * static_cast<u64>(d);
+  d >>= 64;
+  r[2] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+
+  c += static_cast<u128>(kR << 12) * static_cast<u64>(d) + t3;
+  r[3] = static_cast<u64>(c) & kM52;
+  c >>= 52;
+  r[4] = static_cast<u64>(c) + t4;
 }
 
-/// r = (carry·2^256 + r) mod p for values below 2p: the value is >= p
-/// exactly when it carried or r + (2^256 - p) carries. Branch-free select.
-[[gnu::always_inline]] inline void fe_finish(u64 r[4], u64 carry) {
-  u128 acc = static_cast<u128>(r[0]) + kFold;
-  const u64 s0 = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[1];
-  const u64 s1 = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[2];
-  const u64 s2 = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[3];
-  const u64 s3 = static_cast<u64>(acc);
-  const u64 take = 0 - static_cast<u64>((carry | static_cast<u64>(acc >> 64)) != 0);
-  r[0] = (s0 & take) | (r[0] & ~take);
-  r[1] = (s1 & take) | (r[1] & ~take);
-  r[2] = (s2 & take) | (r[2] & ~take);
-  r[3] = (s3 & take) | (r[3] & ~take);
-}
-
-/// r = t mod p: fold the high half with one 64x64 product per limb, fold the
-/// 34-bit overflow once more, then one conditional subtract.
-[[gnu::always_inline]] inline void fe_reduce512(const u64 t[8], u64 r[4]) {
-  u128 acc = static_cast<u128>(t[4]) * kFold + t[0];
-  r[0] = static_cast<u64>(acc);
-  acc = (acc >> 64) + static_cast<u128>(t[5]) * kFold + t[1];
-  r[1] = static_cast<u64>(acc);
-  acc = (acc >> 64) + static_cast<u128>(t[6]) * kFold + t[2];
-  r[2] = static_cast<u64>(acc);
-  acc = (acc >> 64) + static_cast<u128>(t[7]) * kFold + t[3];
-  r[3] = static_cast<u64>(acc);
-  acc = static_cast<u128>(static_cast<u64>(acc >> 64)) * kFold + r[0];
-  r[0] = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[1];
-  r[1] = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[2];
-  r[2] = static_cast<u64>(acc);
-  acc = (acc >> 64) + r[3];
-  r[3] = static_cast<u64>(acc);
-  fe_finish(r, static_cast<u64>(acc >> 64));
+/// Weak normalization: folds limb 4's bits above 48 by kFold and carries
+/// once up the limbs. Limbs below 2^63 in; magnitude 1 out (limbs 0-3 below
+/// 2^52, limb 4 at most 2^48), the same value mod p.
+[[gnu::always_inline]] inline void fe_normalize_weak(u64 t[5]) {
+  t[0] += (t[4] >> 48) * kFold;
+  t[4] &= kM48;
+  t[1] += t[0] >> 52;
+  t[0] &= kM52;
+  t[2] += t[1] >> 52;
+  t[1] &= kM52;
+  t[3] += t[2] >> 52;
+  t[2] &= kM52;
+  t[4] += t[3] >> 52;
+  t[3] &= kM52;
 }
 
 }  // namespace detail
 
-/// Element of F_p on four little-endian 64-bit limbs, always fully reduced
-/// (< p), so equality is limb equality. The arithmetic is inline: point
-/// formulas are chains of these operations.
+/// Element of F_p on five 52-bit limbs, value Σ n[i]·2^(52i), reduced
+/// lazily (libsecp256k1's 5×52 form). The value is any representative of
+/// its class mod p, and the limbs may exceed 52 bits: an element of
+/// magnitude m has limbs 0-3 at most 2m(2^52 - 1) and limb 4 at most
+/// 2m(2^48 - 1). No magnitude is tracked at run time; the point formulas
+/// stay inside these bounds by construction:
+///   - every operand of every operation has magnitude <= 8;
+///   - reduce, from_canonical and from_u64 return limbs below 2^52 (limb 4
+///     below 2^48), half of magnitude 1's bound;
+///   - `*`, `sqr`, `-`, `neg` and `inv` return magnitude 1;
+///   - `a + b` adds limb by limb, with no carry: its magnitude is at most
+///     the sum of the operands'.
+/// ==, is_zero, is_odd and to_u256 see the fully reduced value.
 class FieldElement {
  public:
   constexpr FieldElement() = default;  ///< Zero.
-  static constexpr FieldElement from_u64(std::uint64_t v) { return FieldElement(v, 0, 0, 0); }
+  static constexpr FieldElement from_u64(std::uint64_t v) {
+    return FieldElement(v & detail::kM52, v >> 52, 0, 0, 0);
+  }
   /// Canonical encodings only: nullopt for v >= p. Every decoder goes through
   /// this, so one field value has exactly one 32-byte form.
   static std::optional<FieldElement> from_canonical(const U256& v);
-  /// v mod p, for any 256-bit v.
+  /// v mod p, for any 256-bit v: v's bits regrouped into 52-bit limbs, a
+  /// representative that may be >= p.
   static FieldElement reduce(const U256& v) {
-    FieldElement r(v.limb[0], v.limb[1], v.limb[2], v.limb[3]);
-    detail::fe_finish(r.n_, 0);  // v < 2^256 < 2p
-    return r;
+    return FieldElement(v.limb[0] & detail::kM52,
+                        ((v.limb[0] >> 52) | (v.limb[1] << 12)) & detail::kM52,
+                        ((v.limb[1] >> 40) | (v.limb[2] << 24)) & detail::kM52,
+                        ((v.limb[2] >> 28) | (v.limb[3] << 36)) & detail::kM52,
+                        v.limb[3] >> 16);
   }
 
-  U256 to_u256() const { return {n_[0], n_[1], n_[2], n_[3]}; }
-  bool is_zero() const { return (n_[0] | n_[1] | n_[2] | n_[3]) == 0; }
-  bool is_odd() const { return n_[0] & 1; }
-  friend bool operator==(const FieldElement&, const FieldElement&) = default;
+  /// The fully reduced value (< p).
+  U256 to_u256() const;
+  /// value ≡ 0 (mod p). After one fold the value is below 2p, so it is zero
+  /// mod p exactly when its limbs read 0 or p; the low limb settles almost
+  /// every non-zero value on its own.
+  bool is_zero() const {
+    using namespace detail;
+    // z0 ORs the limbs (0 for the value 0); z1 ANDs each limb XOR p's limb
+    // XOR kM52 (all ones for the value p).
+    const u64 t0 = n_[0] + (n_[4] >> 48) * kFold;
+    u64 z0 = t0 & kM52;
+    u64 z1 = z0 ^ kP0 ^ kM52;
+    if (z0 != 0 && z1 != kM52) return false;
+    u64 t1 = n_[1] + (t0 >> 52);
+    u64 t2 = n_[2] + (t1 >> 52);
+    t1 &= kM52;
+    z0 |= t1;
+    z1 &= t1;
+    u64 t3 = n_[3] + (t2 >> 52);
+    t2 &= kM52;
+    z0 |= t2;
+    z1 &= t2;
+    const u64 t4 = (n_[4] & kM48) + (t3 >> 52);
+    t3 &= kM52;
+    z0 |= t3 | t4;
+    z1 &= t3 & (t4 ^ kM48 ^ kM52);
+    return z0 == 0 || z1 == kM52;
+  }
+  bool is_odd() const { return to_u256().limb[0] & 1; }
+  friend bool operator==(const FieldElement& a, const FieldElement& b) {
+    return (a - b).is_zero();
+  }
 
   FieldElement operator+(const FieldElement& o) const {
-    using detail::u128;
-    FieldElement r;
-    u128 acc = static_cast<u128>(n_[0]) + o.n_[0];
-    r.n_[0] = static_cast<std::uint64_t>(acc);
-    acc = (acc >> 64) + n_[1] + o.n_[1];
-    r.n_[1] = static_cast<std::uint64_t>(acc);
-    acc = (acc >> 64) + n_[2] + o.n_[2];
-    r.n_[2] = static_cast<std::uint64_t>(acc);
-    acc = (acc >> 64) + n_[3] + o.n_[3];
-    r.n_[3] = static_cast<std::uint64_t>(acc);
-    detail::fe_finish(r.n_, static_cast<std::uint64_t>(acc >> 64));
-    return r;
+    return FieldElement(n_[0] + o.n_[0], n_[1] + o.n_[1], n_[2] + o.n_[2], n_[3] + o.n_[3],
+                        n_[4] + o.n_[4]);
   }
+  /// this + 18p - o, weakly normalized: 18p = 2(8 + 1)p is at least o limb
+  /// by limb for any o of magnitude <= 8, so no limb goes negative.
   FieldElement operator-(const FieldElement& o) const {
-    using detail::u128;
-    FieldElement r;
-    u128 d = static_cast<u128>(n_[0]) - o.n_[0];
-    r.n_[0] = static_cast<std::uint64_t>(d);
-    d = static_cast<u128>(n_[1]) - o.n_[1] - ((d >> 64) & 1);
-    r.n_[1] = static_cast<std::uint64_t>(d);
-    d = static_cast<u128>(n_[2]) - o.n_[2] - ((d >> 64) & 1);
-    r.n_[2] = static_cast<std::uint64_t>(d);
-    d = static_cast<u128>(n_[3]) - o.n_[3] - ((d >> 64) & 1);
-    r.n_[3] = static_cast<std::uint64_t>(d);
-    // On a borrow add p, i.e. subtract 2^256 - p modulo 2^256 (the result
-    // a - b + p is at least 1, so this cannot borrow past the top).
-    const std::uint64_t fold = detail::kFold & (0 - static_cast<std::uint64_t>((d >> 64) & 1));
-    d = static_cast<u128>(r.n_[0]) - fold;
-    r.n_[0] = static_cast<std::uint64_t>(d);
-    d = static_cast<u128>(r.n_[1]) - ((d >> 64) & 1);
-    r.n_[1] = static_cast<std::uint64_t>(d);
-    d = static_cast<u128>(r.n_[2]) - ((d >> 64) & 1);
-    r.n_[2] = static_cast<std::uint64_t>(d);
-    r.n_[3] -= static_cast<std::uint64_t>((d >> 64) & 1);
+    using detail::kM52;
+    using detail::kM48;
+    constexpr std::uint64_t k = 18;
+    FieldElement r(n_[0] + k * detail::kP0 - o.n_[0], n_[1] + k * kM52 - o.n_[1],
+                   n_[2] + k * kM52 - o.n_[2], n_[3] + k * kM52 - o.n_[3],
+                   n_[4] + k * kM48 - o.n_[4]);
+    detail::fe_normalize_weak(r.n_);
     return r;
   }
   FieldElement operator*(const FieldElement& o) const {
-    std::uint64_t t[8];
-    detail::mul_512(n_, o.n_, t);
     FieldElement r;
-    detail::fe_reduce512(t, r.n_);
+    detail::fe_mul(n_, o.n_, r.n_);
     return r;
   }
   FieldElement sqr() const {
-    std::uint64_t t[8];
-    detail::sqr_512(n_, t);
     FieldElement r;
-    detail::fe_reduce512(t, r.n_);
+    detail::fe_sqr(n_, r.n_);
     return r;
   }
   FieldElement neg() const { return FieldElement{} - *this; }
   /// Multiplicative inverse by divsteps (variable time); zero maps to zero.
   FieldElement inv() const;
-  /// A square root by addition chain (a^((p+1)/4), p ≡ 3 mod 4); nullopt
-  /// for non-residues.
-  std::optional<FieldElement> sqrt() const;
 
  private:
-  constexpr FieldElement(std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t d)
-      : n_{a, b, c, d} {}
-  std::uint64_t n_[4] = {0, 0, 0, 0};
+  constexpr FieldElement(std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t d,
+                         std::uint64_t e)
+      : n_{a, b, c, d, e} {}
+  std::uint64_t n_[5] = {0, 0, 0, 0, 0};
 };
 
 /// Integer modulo the group order n, always fully reduced (< n).
@@ -352,9 +393,5 @@ util::Bytes encode_public(const AffinePoint& pub);
 /// Rejects points off the curve and coordinates >= p (a non-canonical alias
 /// would hash to a different address than the point's canonical form).
 std::optional<AffinePoint> decode_public(util::ByteSpan data);
-
-/// Square root modulo p (p ≡ 3 mod 4, so sqrt(a) = a^((p+1)/4) when a is a
-/// quadratic residue). Returns nullopt for non-residues.
-std::optional<U256> sqrt_mod_p(const U256& a);
 
 }  // namespace sc::crypto::secp256k1

@@ -66,11 +66,12 @@ TEST(Transaction, DecodeRejectsNonCanonicalPubkeyAlias) {
   // The curve point with x = 1, written as x = 1 + p: the same point, but it
   // hashes to another address, so the wire format must accept one form only.
   namespace ec = crypto::secp256k1;
-  const auto y = ec::sqrt_mod_p(crypto::U256{8});
-  ASSERT_TRUE(y.has_value());
-  const ec::AffinePoint canonical{crypto::U256::one(), *y, false};
+  // y² = 1³ + 7.
+  const auto y = crypto::U256::from_hex(
+      "4218f20ae6c646b363db68605822fb14264ca8d2587fdd6fbc750d587e76a7ee");
+  const ec::AffinePoint canonical{crypto::U256::one(), y, false};
   ASSERT_TRUE(canonical.is_on_curve());
-  const ec::AffinePoint alias{crypto::U256::one() + ec::field_prime(), *y, false};
+  const ec::AffinePoint alias{crypto::U256::one() + ec::field_prime(), y, false};
   EXPECT_NE(crypto::address_of(alias), crypto::address_of(canonical));
   EXPECT_FALSE(alias.is_on_curve());
 

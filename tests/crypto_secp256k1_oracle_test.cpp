@@ -26,13 +26,16 @@ U256 rand_scalar(util::Rng& rng) {
   }
 }
 
-/// Boundary values of F_p, including unreduced ones (>= p).
+/// Boundary values of F_p, including unreduced ones (>= p), and p's low 208
+/// bits alone: the field element's low four 52-bit limbs of p with a zero
+/// top limb, which a zero test must not take for p.
 std::vector<U256> field_edges() {
   const U256 p = field_prime();
   return {U256::zero(),        U256::one(),          U256{2},
           p - U256::one(),     p - U256{2},          p,
           p + U256::one(),     U256::max_value(),    U256::one() << 255,
-          U256{0x1000003D1ULL}, U256{0xFFFFFFFFFFFFFFFFULL}, p >> 1};
+          U256{0x1000003D1ULL}, U256{0xFFFFFFFFFFFFFFFFULL}, p >> 1,
+          (p << 48) >> 48};
 }
 
 /// Edge values first, then a mix of random full-width and reduced values.
@@ -45,9 +48,18 @@ U256 field_input(util::Rng& rng, int i) {
 
 TEST(Secp256k1Oracle, FieldReduceAndCanonicalContract) {
   util::Rng rng(1);
-  for (int i = 0; i < 2000; ++i) {
-    const U256 v = field_input(rng, i);
-    EXPECT_EQ(FieldElement::reduce(v).to_u256(), oracle::Fp().reduce(v));
+  const U256 p = field_prime();
+  for (int i = 0; i < 2100; ++i) {
+    // The last 100 inputs lie in [p, 2^256) (2^256 - p = 0x1000003D1):
+    // reduce() keeps them as they are, and every reader must see v - p.
+    const U256 v = i < 2000 ? field_input(rng, i) : p + U256{rng.next_u64() % 0x1000003D1ULL};
+    const U256 expect = oracle::Fp().reduce(v);
+    const FieldElement a = FieldElement::reduce(v);
+    EXPECT_EQ(a.to_u256(), expect);
+    EXPECT_EQ(a.is_zero(), expect.is_zero());
+    EXPECT_EQ(a.is_odd(), expect.bit(0));
+    EXPECT_EQ(a, FieldElement::reduce(expect));
+    EXPECT_FALSE(a == FieldElement::reduce(expect) + FieldElement::from_u64(1));
     const auto canonical = FieldElement::from_canonical(v);
     EXPECT_EQ(canonical.has_value(), v < field_prime());
     if (canonical) {
@@ -80,26 +92,66 @@ TEST(Secp256k1Oracle, FieldMulSqrAddSubMatch) {
   EXPECT_GE(cases, 10000);
 }
 
-TEST(Secp256k1Oracle, FieldInverseAndSqrtMatch) {
-  util::Rng rng(3);
+/// 8·c the way doubling forms it: c + c, doubled twice, with no carry.
+FieldElement times8(const FieldElement& c) {
+  FieldElement c8 = c + c;
+  c8 = c8 + c8;
+  return c8 + c8;
+}
+
+TEST(Secp256k1Oracle, FieldAtMaximumMagnitudeMatches) {
+  // Every operand may have magnitude up to 8, and the longest sum a point
+  // formula builds is 8·C in doubling, from a magnitude-1 square.
+  // reduce(2^256 - 1) has every limb all ones, half of magnitude 1's limb
+  // bound, so 8·(ones + ones) puts every limb exactly at magnitude 8's.
+  util::Rng rng(16);
   const auto& f = oracle::Fp();
-  for (int i = 0; i < 300; ++i) {
-    const U256 v = field_input(rng, i);
+  const FieldElement ones = FieldElement::reduce(U256::max_value());
+  const U256 ones_value = f.reduce(U256::max_value());
+  const FieldElement top = times8(ones + ones);
+  const U256 top_value = f.mul(ones_value, U256{16});
+  ASSERT_EQ(top.to_u256(), top_value);
+  EXPECT_EQ(top, FieldElement::reduce(top_value));
+  EXPECT_EQ((top * top).to_u256(), f.mul(top_value, top_value));
+  EXPECT_EQ(top.sqr().to_u256(), f.sqr(top_value));
+  EXPECT_TRUE((top - top).is_zero());
+  EXPECT_TRUE((top + top.neg()).is_zero());
+  EXPECT_EQ(top.inv().to_u256(), f.inv(top_value));
+  for (int i = 0; i < 200; ++i) {
+    const U256 v = rand_u256(rng);
+    const U256 w = rand_u256(rng);
     const FieldElement a = FieldElement::reduce(v);
-    if (a.is_zero()) {
-      EXPECT_TRUE(a.inv().is_zero());
-    } else {
-      ASSERT_EQ(a.inv().to_u256(), f.inv(f.reduce(v))) << v.hex();
-    }
-    const auto root = a.sqrt();
-    const auto oracle_root = oracle::sqrt_mod_p(v);
-    ASSERT_EQ(root.has_value(), oracle_root.has_value()) << v.hex();
-    if (root) {
-      EXPECT_EQ(root->to_u256(), *oracle_root);
-    }
-    // Squares always have a root.
-    EXPECT_TRUE(a.sqr().sqrt().has_value());
+    const FieldElement y = FieldElement::reduce(w);
+    const U256 y_value = f.reduce(w);
+    // A product's limb 4 may pass 2^48 (magnitude 1 allows up to 2^49), so
+    // its 8·C is magnitude 8, not 4.
+    const FieldElement c = a * ones;
+    const U256 c_value = f.mul(f.reduce(v), ones_value);
+    const FieldElement c8 = times8(c);
+    const U256 c8_value = f.mul(c_value, U256{8});
+    const FieldElement e = c + c + c;
+    const U256 e_value = f.mul(c_value, U256{3});
+    ASSERT_EQ(c8.to_u256(), c8_value) << v.hex();
+    ASSERT_EQ((c8 * y).to_u256(), f.mul(c8_value, y_value)) << v.hex();
+    ASSERT_EQ((y * c8).to_u256(), f.mul(c8_value, y_value)) << v.hex();
+    ASSERT_EQ((top * c8).to_u256(), f.mul(top_value, c8_value)) << v.hex();
+    ASSERT_EQ(c8.sqr().to_u256(), f.sqr(c8_value)) << v.hex();
+    ASSERT_EQ((y * y - c8).to_u256(), f.sub(f.sqr(y_value), c8_value)) << v.hex();
+    ASSERT_EQ((e * c8).to_u256(), f.mul(e_value, c8_value)) << v.hex();
+    ASSERT_EQ(e.sqr().to_u256(), f.sqr(e_value)) << v.hex();
+    ASSERT_EQ((c - top).to_u256(), f.sub(c_value, top_value)) << v.hex();
+    ASSERT_EQ((top - c8).to_u256(), f.sub(top_value, c8_value)) << v.hex();
+    ASSERT_EQ(c8.neg().to_u256(), f.neg(c8_value)) << v.hex();
+    ASSERT_EQ(c8.is_odd(), c8_value.bit(0)) << v.hex();
+    ASSERT_EQ(c8, FieldElement::reduce(c8_value)) << v.hex();
   }
+  // A multiple of p at the bound is zero however it is written.
+  const FieldElement p = FieldElement::reduce(field_prime());
+  const FieldElement p16 = times8(p + p);
+  EXPECT_TRUE(p16.is_zero());
+  EXPECT_EQ(p16, FieldElement{});
+  EXPECT_EQ(p16.to_u256(), U256::zero());
+  EXPECT_TRUE((p16 * top).is_zero());
 }
 
 TEST(Secp256k1Oracle, ScalarArithmeticMatches) {

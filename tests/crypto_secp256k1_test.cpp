@@ -1,10 +1,12 @@
 // secp256k1 field, group and ECDSA tests: fixed generator vectors,
 // algebraic laws and RFC-6979 determinism. (Differential checks against the
-// generic oracle live in crypto_secp256k1_oracle_test.cpp.) The SEC-1
-// compressed-key codec lives here, next to its tests: no product code uses it.
+// generic oracle live in crypto_secp256k1_oracle_test.cpp.) The square root
+// and the SEC-1 compressed-key codec built on it live here, next to their
+// tests: no product code uses them.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
@@ -35,11 +37,24 @@ TEST(Secp256k1Field, ModulusShapes) {
 
 TEST(Secp256k1Field, AddSubRoundTrip) {
   util::Rng rng(1);
+  const FieldElement p = FieldElement::reduce(field_prime());
+  const FieldElement one = FieldElement::from_u64(1);
   for (int i = 0; i < 100; ++i) {
     const FieldElement a = rand_fe(rng);
     const FieldElement b = rand_fe(rng);
     EXPECT_EQ((a + b) - b, a);
     EXPECT_TRUE((a + a.neg()).is_zero());
+    // One value in five representations: canonical, plus p limb by limb, a
+    // product, a carry-free sum and a difference. x - x and x + (0 - x) are
+    // zero, and == holds across all of them.
+    const FieldElement forms[] = {a, a + p, a * one, (a - b) + b, a + a + a + a - (a + a + a)};
+    for (const FieldElement& x : forms) {
+      EXPECT_TRUE((x - x).is_zero());
+      EXPECT_TRUE((x + (FieldElement{} - x)).is_zero());
+      EXPECT_EQ(x.to_u256(), a.to_u256());
+      for (const FieldElement& y : forms) EXPECT_EQ(x, y);
+    }
+    EXPECT_FALSE(a + one == a);
   }
 }
 
@@ -238,6 +253,65 @@ TEST(Secp256k1Ecdsa, DecodePublicRejectsOffCurve) {
   EXPECT_FALSE(decode_public(garbage).has_value());
 }
 
+FieldElement sqr_n(FieldElement a, int n) {
+  for (int i = 0; i < n; ++i) a = a.sqr();
+  return a;
+}
+
+/// A square root by addition chain (a^((p+1)/4), p ≡ 3 mod 4); nullopt for
+/// non-residues.
+std::optional<FieldElement> field_sqrt(const FieldElement& a) {
+  // (p + 1) / 4 = 223 ones, 0, 22 ones, 000000, 11, 00; x_k = a^(2^k - 1).
+  const FieldElement x2 = a.sqr() * a;
+  const FieldElement x3 = x2.sqr() * a;
+  const FieldElement x6 = sqr_n(x3, 3) * x3;
+  const FieldElement x9 = sqr_n(x6, 3) * x3;
+  const FieldElement x11 = sqr_n(x9, 2) * x2;
+  const FieldElement x22 = sqr_n(x11, 11) * x11;
+  const FieldElement x44 = sqr_n(x22, 22) * x22;
+  const FieldElement x88 = sqr_n(x44, 44) * x44;
+  const FieldElement x176 = sqr_n(x88, 88) * x88;
+  const FieldElement x220 = sqr_n(x176, 44) * x44;
+  const FieldElement x223 = sqr_n(x220, 3) * x3;
+  FieldElement t = sqr_n(x223, 23) * x22;
+  t = sqr_n(t, 6) * x2;
+  const FieldElement root = sqr_n(t, 2);
+  if (root.sqr() != a) return std::nullopt;
+  return root;
+}
+
+/// The root of a mod p as an integer, for any 256-bit a.
+std::optional<U256> sqrt_mod_p(const U256& a) {
+  const auto root = field_sqrt(FieldElement::reduce(a));
+  if (!root) return std::nullopt;
+  return root->to_u256();
+}
+
+/// SEC-1 compressed 33-byte encoding: 0x02/0x03 parity tag + X.
+util::Bytes encode_public_compressed(const AffinePoint& pub) {
+  util::Bytes out(33);
+  out[0] = pub.y.bit(0) ? 0x03 : 0x02;
+  pub.x.to_be_bytes(out.data() + 1);
+  return out;
+}
+
+/// Decompresses; rejects bad tags and X values off the curve.
+std::optional<AffinePoint> decode_public_compressed(util::ByteSpan data) {
+  if (data.size() != 33) return std::nullopt;
+  if (data[0] != 0x02 && data[0] != 0x03) return std::nullopt;
+  const auto x = FieldElement::from_canonical(U256::from_be_bytes(data.subspan(1, 32)));
+  if (!x) return std::nullopt;
+  // y^2 = x^3 + 7; pick the root whose parity matches the tag.
+  const auto y = field_sqrt(x->sqr() * *x + FieldElement::from_u64(7));
+  if (!y) return std::nullopt;
+  const bool want_odd = data[0] == 0x03;
+  AffinePoint p;
+  p.x = x->to_u256();
+  p.y = (y->is_odd() == want_odd ? *y : y->neg()).to_u256();
+  p.infinity = false;
+  return p;
+}
+
 TEST(Secp256k1Ecdsa, DecodePublicRejectsNonCanonicalCoordinates) {
   // (1, y) is on the curve; (1 + p, y) names the same point non-canonically.
   const auto y = sqrt_mod_p(U256{8});
@@ -282,29 +356,43 @@ TEST(Secp256k1Sqrt, NonResidueRejected) {
   EXPECT_EQ(sqrt_mod_p(U256::zero()), U256::zero());
 }
 
-/// SEC-1 compressed 33-byte encoding: 0x02/0x03 parity tag + X.
-util::Bytes encode_public_compressed(const AffinePoint& pub) {
-  util::Bytes out(33);
-  out[0] = pub.y.bit(0) ? 0x03 : 0x02;
-  pub.x.to_be_bytes(out.data() + 1);
-  return out;
-}
-
-/// Decompresses; rejects bad tags and X values off the curve.
-std::optional<AffinePoint> decode_public_compressed(util::ByteSpan data) {
-  if (data.size() != 33) return std::nullopt;
-  if (data[0] != 0x02 && data[0] != 0x03) return std::nullopt;
-  const auto x = FieldElement::from_canonical(U256::from_be_bytes(data.subspan(1, 32)));
-  if (!x) return std::nullopt;
-  // y^2 = x^3 + 7; pick the root whose parity matches the tag.
-  const auto y = (x->sqr() * *x + FieldElement::from_u64(7)).sqrt();
-  if (!y) return std::nullopt;
-  const bool want_odd = data[0] == 0x03;
-  AffinePoint p;
-  p.x = x->to_u256();
-  p.y = (y->is_odd() == want_odd ? *y : y->neg()).to_u256();
-  p.infinity = false;
-  return p;
+TEST(Secp256k1Oracle, FieldInverseAndSqrtMatch) {
+  util::Rng rng(3);
+  const auto& f = oracle::Fp();
+  const U256 p = field_prime();
+  // Boundary values of F_p, including unreduced ones (>= p), then random
+  // full-width values.
+  const std::vector<U256> edges = {U256::zero(),
+                                   U256::one(),
+                                   U256{2},
+                                   p - U256::one(),
+                                   p - U256{2},
+                                   p,
+                                   p + U256::one(),
+                                   U256::max_value(),
+                                   U256::one() << 255,
+                                   U256{0x1000003D1ULL},
+                                   U256{0xFFFFFFFFFFFFFFFFULL},
+                                   p >> 1};
+  for (int i = 0; i < 300; ++i) {
+    const U256 v = i < static_cast<int>(edges.size())
+                       ? edges[static_cast<std::size_t>(i)]
+                       : U256{rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
+    const FieldElement a = FieldElement::reduce(v);
+    if (a.is_zero()) {
+      EXPECT_TRUE(a.inv().is_zero());
+    } else {
+      ASSERT_EQ(a.inv().to_u256(), f.inv(f.reduce(v))) << v.hex();
+    }
+    const auto root = field_sqrt(a);
+    const auto oracle_root = oracle::sqrt_mod_p(v);
+    ASSERT_EQ(root.has_value(), oracle_root.has_value()) << v.hex();
+    if (root) {
+      EXPECT_EQ(root->to_u256(), *oracle_root);
+    }
+    // Squares always have a root.
+    EXPECT_TRUE(field_sqrt(a.sqr()).has_value());
+  }
 }
 
 TEST(Secp256k1Compressed, RoundTripBothParities) {
