@@ -100,16 +100,19 @@ inline std::string cpu_model() {
 ///   --runs=small|full|N   effort: CI smoke, the committed size, or a count
 ///   --out=PATH            JSON output (default BENCH_<name>.json)
 /// and writes the results in the envelope every committed BENCH_*.json has:
-///   {"schema": "<name>_bench/v2",
+///   {"schema": "<name>_bench/v<version>",
 ///    "env": {nproc, cpu, build_type, compiler, flags, git_rev, probe_ms},
 ///    "results": {...}}
+/// `version` (2 unless a harness passes more) counts changes to the shape of
+/// that harness's results.
 /// build_type, compiler, flags and git_rev are fixed when the build is
 /// configured (bench/CMakeLists.txt); nproc and cpu are read when it runs.
 /// probe_ms holds probe_ms() before and after the run.
 class BenchRun {
  public:
-  BenchRun(int argc, char** argv, const std::string& name)
+  BenchRun(int argc, char** argv, const std::string& name, int version = 2)
       : name_(name),
+        version_(version),
         runs_(flag_str(argc, argv, "runs", "full")),
         out_(flag_str(argc, argv, "out", ("BENCH_" + name + ".json").c_str())),
         probe_before_ms_(probe_ms()) {}
@@ -151,7 +154,8 @@ class BenchRun {
                    name_.c_str(), out_.c_str());
       return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"%s_bench/v2\",\n", name_.c_str());
+    std::fprintf(f, "{\n  \"schema\": \"%s_bench/v%d\",\n", name_.c_str(),
+                 version_);
     std::fprintf(f,
                  "  \"env\": {\"nproc\": %u, \"cpu\": \"%s\", "
                  "\"build_type\": \"%s\", \"compiler\": \"%s\", "
@@ -177,6 +181,7 @@ class BenchRun {
 
  private:
   std::string name_;
+  int version_;
   std::string runs_;
   std::string out_;
   double probe_before_ms_;

@@ -9,6 +9,12 @@
 //      O(changes · log n) path Blockchain::submit_block runs).
 //   3. Proof generation/verification cost and encoded proof size for one
 //      account (what a light client transfers and checks).
+//   4. Genesis: constructing a chain::Blockchain that endows the same
+//      accounts (the set-up cost every node pays before its first block).
+//   5. Branch hashes per update, counted here from the committed trie's
+//      proofs rather than by the trie: the distinct branches on the touched
+//      accounts' paths (what one dirty-branch flush hashes) next to the sum
+//      of those path lengths (what rehashing the path on every write pays).
 // Every scale ends with a differential check: a from-scratch rebuild of the
 // final state must reproduce the incrementally maintained root, otherwise
 // the binary exits non-zero — the perf numbers are worthless if the fast
@@ -25,10 +31,13 @@
 // --out=PATH.
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chain/blockchain.hpp"
 #include "chain/state_commitment.hpp"
 #include "chain/state_journal.hpp"
 #include "util/rng.hpp"
@@ -53,7 +62,10 @@ struct ScaleResult {
   std::uint64_t delta_accounts = 0;  ///< Accounts touched per block.
   std::uint64_t blocks = 0;
   double rebuild_s = 0;   ///< Full O(n) rehash — the naive per-block cost.
+  double genesis_s = 0;   ///< Blockchain construction over the same accounts.
   double update_us = 0;   ///< Mean incremental root update per block.
+  double branch_hashes = 0;  ///< Mean distinct branches on the touched paths.
+  double path_branches = 0;  ///< Mean summed length of the touched paths.
   std::size_t trie_nodes = 0;
   std::size_t proof_bytes = 0;
   double prove_us = 0;
@@ -62,6 +74,32 @@ struct ScaleResult {
 
   double speedup() const { return rebuild_s * 1e6 / update_us; }
 };
+
+/// Adds the account-trie branches on the paths of `delta`'s accounts to
+/// `distinct` (each branch once; a branch is named by its crit-bit index and
+/// the key bits above it) and to `total` (once per path through it).
+void count_branches(const chain::StateCommitment& commitment,
+                    const chain::WorldState& state, const chain::StateDelta& delta,
+                    std::size_t* distinct, std::size_t* total) {
+  std::set<std::pair<std::uint16_t, crypto::Hash256>> seen;
+  for (const auto& [addr, change] : delta.changes) {
+    (void)change;
+    const crypto::Hash256 key = chain::StateCommitment::account_key(addr);
+    for (const crypto::TrieStep& step : commitment.prove_account(addr, state).trie.steps) {
+      crypto::Hash256 prefix = key;
+      for (unsigned byte = 0; byte < 32; ++byte) {
+        const unsigned first = byte * 8;
+        if (first >= step.bit)
+          prefix.bytes[byte] = 0;
+        else if (first + 8 > step.bit)
+          prefix.bytes[byte] &= static_cast<std::uint8_t>(0xff << (first + 8 - step.bit));
+      }
+      seen.emplace(step.bit, prefix);
+      ++*total;
+    }
+  }
+  *distinct += seen.size();
+}
 
 ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
                       std::uint64_t blocks) {
@@ -82,6 +120,17 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
   result.delta_accounts = delta_accounts;
   result.blocks = blocks;
 
+  {
+    chain::GenesisConfig genesis;
+    genesis.allocations.reserve(state.account_count());
+    for (const auto& [addr, acct] : state.accounts())
+      genesis.allocations.emplace_back(addr, acct.balance);
+    genesis.execution.threads = 1;
+    const auto start = Clock::now();
+    const chain::Blockchain chain(genesis);
+    result.genesis_s = seconds_since(start);
+  }
+
   chain::StateCommitment commitment;
   {
     const auto start = Clock::now();
@@ -92,9 +141,10 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
 
   // Simulated blocks: `delta_accounts` transfers from the funder to random
   // existing accounts, exactly the delta shape submit_block hands the
-  // commitment. Only the update() call is timed — delta construction is the
-  // executor's job, not the trie's.
+  // commitment. Only the update() call and the root read that flushes it are
+  // timed — delta construction is the executor's job, not the trie's.
   double update_total = 0;
+  std::size_t distinct = 0, total = 0;
   for (std::uint64_t b = 0; b < blocks; ++b) {
     chain::JournaledState js(state);
     for (std::uint64_t i = 0; i < delta_accounts; ++i) {
@@ -106,9 +156,13 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
     js.commit(0);
     const auto start = Clock::now();
     commitment.update(delta, state);
+    (void)commitment.root();
     update_total += seconds_since(start);
+    count_branches(commitment, state, delta, &distinct, &total);
   }
   result.update_us = update_total * 1e6 / static_cast<double>(blocks);
+  result.branch_hashes = static_cast<double>(distinct) / static_cast<double>(blocks);
+  result.path_branches = static_cast<double>(total) / static_cast<double>(blocks);
 
   {  // Light-client surface: one proof out, one verification in.
     const chain::Address& subject = population[rng.uniform(population.size())];
@@ -132,7 +186,7 @@ ScaleResult run_scale(std::uint64_t accounts, std::uint64_t delta_accounts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sc::bench::BenchRun run(argc, argv, "trie");
+  sc::bench::BenchRun run(argc, argv, "trie", /*version=*/3);
 
   // (accounts, delta accounts per block, measured blocks). The delta size is
   // FIXED across scales — that is what makes the 10^5 vs 10^6 comparison a
@@ -153,16 +207,17 @@ int main(int argc, char** argv) {
     results.push_back(run_scale(accounts, delta, blocks));
   }
 
-  std::printf("\n%-10s %12s %14s %10s %12s %10s %10s %8s\n", "accounts",
-              "rebuild ms", "update µs/blk", "speedup", "trie nodes",
-              "proof B", "prove µs", "verify");
+  std::printf("\n%-10s %12s %12s %14s %10s %14s %12s %10s %10s %8s\n",
+              "accounts", "genesis ms", "rebuild ms", "update µs/blk", "speedup",
+              "hashes/paths", "trie nodes", "proof B", "prove µs", "verify");
   bool all_match = true;
   for (const ScaleResult& r : results) {
-    std::printf("%-10llu %12.2f %14.2f %9.0fx %12zu %10zu %10.2f %7.2fµs%s\n",
-                static_cast<unsigned long long>(r.accounts),
-                r.rebuild_s * 1e3, r.update_us, r.speedup(), r.trie_nodes,
-                r.proof_bytes, r.prove_us, r.verify_us,
-                r.root_matches ? "" : "  ROOT MISMATCH");
+    std::printf("%-10llu %12.2f %12.2f %14.2f %9.0fx %7.0f/%-6.0f %12zu %10zu "
+                "%10.2f %7.2fµs%s\n",
+                static_cast<unsigned long long>(r.accounts), r.genesis_s * 1e3,
+                r.rebuild_s * 1e3, r.update_us, r.speedup(), r.branch_hashes,
+                r.path_branches, r.trie_nodes, r.proof_bytes, r.prove_us,
+                r.verify_us, r.root_matches ? "" : "  ROOT MISMATCH");
     all_match = all_match && r.root_matches;
   }
 
@@ -171,15 +226,18 @@ int main(int argc, char** argv) {
     const ScaleResult& r = results[i];
     run.results("      {\"accounts\": %llu, \"delta_accounts\": %llu, "
                 "\"blocks\": %llu,\n"
-                "       \"rebuild_s\": %.6f, \"update_us\": %.3f, "
-                "\"speedup\": %.1f,\n"
+                "       \"genesis_s\": %.6f, \"rebuild_s\": %.6f, "
+                "\"update_us\": %.3f, \"speedup\": %.1f,\n"
+                "       \"branch_hashes_per_update\": %.1f, "
+                "\"path_branches_per_update\": %.1f,\n"
                 "       \"trie_nodes\": %zu, \"proof_bytes\": %zu, "
                 "\"prove_us\": %.3f, \"verify_us\": %.3f,\n"
                 "       \"root_matches\": %s}%s\n",
                 static_cast<unsigned long long>(r.accounts),
                 static_cast<unsigned long long>(r.delta_accounts),
-                static_cast<unsigned long long>(r.blocks), r.rebuild_s,
-                r.update_us, r.speedup(), r.trie_nodes, r.proof_bytes,
+                static_cast<unsigned long long>(r.blocks), r.genesis_s,
+                r.rebuild_s, r.update_us, r.speedup(), r.branch_hashes,
+                r.path_branches, r.trie_nodes, r.proof_bytes,
                 r.prove_us, r.verify_us, r.root_matches ? "true" : "false",
                 i + 1 < results.size() ? "," : "");
   }

@@ -55,11 +55,13 @@ echo "== ASan/UBSan: state differential (journaled vs copy-based oracle) =="
 ctest --test-dir build-asan --output-on-failure -R StateDifferential
 
 echo "== ASan/UBSan: Merkle trie + state commitment differential fuzz =="
-# The trie's index-pool splicing and the commitment's incremental refresh are
-# the pointer-heavy paths behind every state_root — rerun them sanitized with
-# a cranked random delta stream.
+# The trie's index-pool splicing, its dirty-branch flush and the commitment's
+# incremental refresh are the pointer-heavy paths behind every state_root —
+# rerun them sanitized with a cranked random delta stream, plus open()'s
+# recovery root cross-check on both of its paths (genesis walk, snapshot
+# rebuild).
 SC_TRIE_FUZZ_ROUNDS=200 ctest --test-dir build-asan --output-on-failure \
-  -R "TrieDifferentialFuzz|MerkleTrie|StateCommitment"
+  -R "TrieDifferentialFuzz|MerkleTrie|StateCommitment|StoreChain.RecoveryRejectsDeltaThatDisagreesWithHeaderRoot"
 
 echo "== ASan/UBSan: sealed-template adoption =="
 # A held template moves its delta and receipts from build_block_template into

@@ -98,7 +98,9 @@ Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
   }
   // The genesis header commits the endowed state like any other block —
   // stamped before the id so allocations are part of the chain identity.
-  commitment_.update(entry.delta, tip_state_);
+  // Every account is new, so the bulk build (one hash per node) gives the
+  // root an update() over the genesis delta would, at a fraction of its cost.
+  commitment_.rebuild(tip_state_);
   genesis_block.header.state_root = commitment_.root();
   entry.block = genesis_block;
   entry.arrival_order = arrival_counter_++;
@@ -276,8 +278,10 @@ void Blockchain::execute_block_body(const Block& block,
 
 void Blockchain::roll_commitment(const StateDelta& delta) {
   // This is the per-block O(changes · log n) cost bench/trie_bench quantifies.
+  // Reading the root inside the timer charges the dirty-branch flush here.
   const auto t0 = std::chrono::steady_clock::now();
   commitment_.update(delta, tip_state_);
+  (void)commitment_.root();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
   metrics_.root_update.observe(elapsed.count());
 }

@@ -13,8 +13,13 @@
 // `update()` refreshes exactly the touched accounts/slots by reading their
 // post-transition truth from the state, so one call works for both apply
 // (connect) and unapply (reorg walk) directions at O(changes · log n) hash
-// cost — never a full-state rehash. `rebuild()` is the O(n) bottom-up
-// reconstruction used by crash recovery and as the differential oracle.
+// cost — never a full-state rehash. Trie writes only mark branches dirty
+// (merkle_trie.hpp): each touched storage trie is flushed before the account
+// digest that embeds its root, and the account trie is flushed by the next
+// root() or proof, so a walk of several update()s before one read hashes
+// each distinct dirty branch once. `rebuild()` is the O(n) bottom-up
+// construction used for genesis, for a recovery snapshot and as the
+// differential oracle.
 #pragma once
 
 #include <optional>
@@ -74,7 +79,8 @@ class StateCommitment {
 
   /// Incremental refresh after `delta` has been applied *or* unapplied to
   /// `state`: every account/slot the delta names is re-read from `state`
-  /// (the post-transition truth) and its leaves updated in place.
+  /// (the post-transition truth) and its leaves updated in place. The
+  /// account trie's branches are rehashed by the next root()/prove_*().
   void update(const StateDelta& delta, const WorldState& state);
 
   const Hash256& root() const { return accounts_.root(); }

@@ -101,16 +101,37 @@ std::uint32_t MerkleTrie::new_branch(std::uint16_t bit, std::uint32_t left,
   b.bit = bit;
   b.left = left;
   b.right = right;
-  b.hash = branch_hash(bit, hash_of(left), hash_of(right));
+  b.dirty = 1;  // Hashed by the next flush.
   return slot;
 }
 
-void MerkleTrie::rehash_path(const std::vector<std::uint32_t>& path) {
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    Branch& b = branch(*it);
-    b.hash = branch_hash(b.bit, hash_of(b.left), hash_of(b.right));
+void MerkleTrie::mark_dirty(const std::vector<std::uint32_t>& path) {
+  // Deepest first; a branch that is already dirty has dirty ancestors too.
+  for (auto it = path.rbegin(); it != path.rend() && !branch(*it).dirty; ++it)
+    branch(*it).dirty = 1;
+  stale_ = true;
+}
+
+const Hash256& MerkleTrie::root() const {
+  if (stale_) flush();
+  return root_hash_;
+}
+
+void MerkleTrie::flush() const {
+  root_hash_ = root_ == kNil ? Hash256{} : settle(root_);
+  stale_ = false;
+}
+
+const Hash256& MerkleTrie::settle(std::uint32_t idx) const {
+  if (is_leaf(idx)) return leaf(idx).hash;
+  const Branch& b = branch(idx);
+  if (b.dirty) {
+    // Clean subtrees return at once, so the recursion visits only the dirty
+    // branches and their direct children.
+    b.hash = branch_hash(b.bit, settle(b.left), settle(b.right));
+    b.dirty = 0;
   }
-  root_hash_ = root_ == kNil ? Hash256{} : hash_of(root_);
+  return b.hash;
 }
 
 void MerkleTrie::clear() {
@@ -120,13 +141,14 @@ void MerkleTrie::clear() {
   free_branches_.clear();
   root_ = kNil;
   root_hash_ = Hash256{};
+  stale_ = false;
   leaf_count_ = 0;
 }
 
 void MerkleTrie::set(const Hash256& key, const Hash256& value) {
   if (root_ == kNil) {
     root_ = new_leaf(key, value);
-    root_hash_ = hash_of(root_);
+    stale_ = true;
     return;
   }
   path_.clear();
@@ -140,7 +162,7 @@ void MerkleTrie::set(const Hash256& key, const Hash256& value) {
   if (cand.key == key) {
     cand.value = value;
     cand.hash = leaf_hash(key, value);
-    rehash_path(path_);
+    mark_dirty(path_);
     return;
   }
   const unsigned diff = crit_bit(key, cand.key);
@@ -162,7 +184,7 @@ void MerkleTrie::set(const Hash256& key, const Hash256& value) {
     (bit_of(key, parent.bit) ? parent.right : parent.left) = nb;
   }
   path_.resize(keep);
-  rehash_path(path_);
+  mark_dirty(path_);
 }
 
 bool MerkleTrie::erase(const Hash256& key) {
@@ -179,7 +201,7 @@ bool MerkleTrie::erase(const Hash256& key) {
   --leaf_count_;
   if (path_.empty()) {
     root_ = kNil;
-    root_hash_ = Hash256{};
+    stale_ = true;
     return true;
   }
   // Splice the parent branch out, promoting the sibling subtree.
@@ -196,7 +218,7 @@ bool MerkleTrie::erase(const Hash256& key) {
     (bit_of(key, grandparent.bit) ? grandparent.right : grandparent.left) =
         sibling;
   }
-  rehash_path(path_);
+  mark_dirty(path_);
   return true;
 }
 
@@ -215,6 +237,7 @@ std::optional<Hash256> MerkleTrie::get(const Hash256& key) const {
 TrieProof MerkleTrie::prove(const Hash256& key) const {
   TrieProof proof;
   if (root_ == kNil) return proof;  // Empty trie: zero leaf, no steps.
+  if (stale_) flush();  // Sibling hashes must be the ones root() commits to.
   std::uint32_t idx = root_;
   while (!is_leaf(idx)) {
     const Branch& b = branch(idx);
@@ -309,7 +332,7 @@ MerkleTrie MerkleTrie::build(std::vector<std::pair<Hash256, Hash256>> leaves) {
   trie.leaves_.reserve(leaves.size());
   trie.branches_.reserve(leaves.size() > 0 ? leaves.size() - 1 : 0);
   trie.root_ = trie.build_range(leaves, 0, leaves.size());
-  trie.root_hash_ = trie.hash_of(trie.root_);
+  trie.flush();  // Every branch is dirty: one hash each, bottom-up.
   return trie;
 }
 

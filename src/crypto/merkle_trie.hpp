@@ -6,8 +6,18 @@
 // Internal nodes store the crit-bit index at which their two subtrees first
 // differ, so the tree has exactly leaves-1 internal nodes regardless of key
 // distribution — unlike a fixed-depth sparse Merkle tree there are no empty
-// levels to hash through, and a single set/erase rehashes only the O(log n)
-// nodes on the leaf's path.
+// levels to hash through.
+//
+// Writes are batched: set/erase hash only the written leaf and mark the
+// O(log n) branches on its descent path dirty. The next root() or prove()
+// flushes once, bottom-up, hashing each dirty branch exactly once — so k
+// writes between two reads cost one hash per *distinct* branch on their
+// paths, not one per branch per write. Every ancestor of a dirty branch is
+// dirty, which lets the flush skip clean subtrees and the marking stop at
+// the first branch that is already dirty. root() and prove() are the only
+// readers of branch hashes and both flush first, so no caller can observe
+// a stale root; like any first read after a write they must not race with
+// another thread's access to the same trie.
 //
 // Hash rules (docs/authenticated-state.md):
 //   empty trie      root = all-zero Hash256
@@ -54,14 +64,14 @@ class MerkleTrie {
  public:
   MerkleTrie() = default;
 
-  /// Inserts or updates; O(log n) hash recomputations.
+  /// Inserts or updates: one leaf hash, O(log n) dirty marks.
   void set(const Hash256& key, const Hash256& value);
   /// Removes a leaf; false (no change) if the key is absent.
   bool erase(const Hash256& key);
   std::optional<Hash256> get(const Hash256& key) const;
 
-  /// All-zero for the empty trie.
-  const Hash256& root() const { return root_hash_; }
+  /// All-zero for the empty trie. Flushes pending writes first.
+  const Hash256& root() const;
   bool empty() const { return leaf_count_ == 0; }
   std::size_t leaf_count() const { return leaf_count_; }
   /// Leaves + internal nodes (the state_trie_nodes gauge).
@@ -72,6 +82,7 @@ class MerkleTrie {
 
   /// Proof for `key`: inclusion when present, best-match absence proof when
   /// not. Callers check which case applies via proof.leaf_key == key.
+  /// Flushes pending writes first, so it verifies against the next root().
   TrieProof prove(const Hash256& key) const;
 
   /// Verifies that `key` -> `value` is committed under `root`.
@@ -85,9 +96,10 @@ class MerkleTrie {
                             const TrieProof& proof);
 
   /// Bulk bottom-up construction: O(n log n) comparisons, exactly one hash
-  /// per node (2n-1 total). Duplicate keys keep the last value. This is both
-  /// the recovery-time rebuild and the full-recompute oracle the incremental
-  /// path is differentially tested (and benched) against.
+  /// per node (2n-1 total), returned flushed. Duplicate keys keep the last
+  /// value. This is the genesis and recovery-snapshot build and the
+  /// full-recompute oracle the incremental path is differentially tested
+  /// (and benched) against.
   static MerkleTrie build(std::vector<std::pair<Hash256, Hash256>> leaves);
 
   // Exposed for tests and the chain-level commitment layer.
@@ -111,11 +123,18 @@ class MerkleTrie {
     Hash256 hash;
   };
   struct Branch {
-    Hash256 hash;
+    /// Subtree hash, valid while !dirty. Mutable (as is `dirty`) so that a
+    /// const root()/prove() can settle pending writes.
+    mutable Hash256 hash;
     std::uint32_t left = kNil;
     std::uint32_t right = kNil;
     std::uint16_t bit = 0;
+    /// A write descended through this branch since the last flush. Lives in
+    /// what would otherwise be tail padding.
+    mutable std::uint8_t dirty = 0;
   };
+  static_assert(sizeof(Branch) == sizeof(Hash256) + 12,
+                "the dirty mark must not grow Branch");
 
   static bool is_leaf(std::uint32_t idx) { return idx & kLeafTag; }
   Leaf& leaf(std::uint32_t idx) { return leaves_[idx & ~kLeafTag]; }
@@ -131,8 +150,12 @@ class MerkleTrie {
                            std::uint32_t right);
   void free_leaf(std::uint32_t idx) { free_leaves_.push_back(idx & ~kLeafTag); }
   void free_branch(std::uint32_t idx) { free_branches_.push_back(idx); }
-  /// Recomputes branch hashes along `path` (deepest last) and root_hash_.
-  void rehash_path(const std::vector<std::uint32_t>& path);
+  /// Marks the branches of `path` (deepest last) dirty and the root stale.
+  void mark_dirty(const std::vector<std::uint32_t>& path);
+  /// Hashes every dirty branch once, bottom-up, and refreshes root_hash_.
+  void flush() const;
+  /// Hash of the subtree at `idx`, rehashing its dirty branches first.
+  const Hash256& settle(std::uint32_t idx) const;
 
   std::uint32_t build_range(std::vector<std::pair<Hash256, Hash256>>& kv,
                             std::size_t lo, std::size_t hi);
@@ -142,7 +165,9 @@ class MerkleTrie {
   std::vector<std::uint32_t> free_leaves_;
   std::vector<std::uint32_t> free_branches_;
   std::uint32_t root_ = kNil;
-  Hash256 root_hash_;
+  mutable Hash256 root_hash_;
+  /// root_hash_ lags a write (set by every set/erase, cleared by flush()).
+  mutable bool stale_ = false;
   std::size_t leaf_count_ = 0;
   /// Scratch for set/erase path collection (avoids per-call allocation).
   mutable std::vector<std::uint32_t> path_;

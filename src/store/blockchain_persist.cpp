@@ -91,8 +91,8 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
   if (store_) return fail(why, "already open");
   if (entries_.size() != 1 || best_head_ != genesis_id_)
     return fail(why, "open() requires a chain holding only genesis");
-  // Recovery rebuilds the commitment; a template sealed before open() must
-  // not outlive it.
+  // Recovery walks the commitment on from genesis's; a template sealed
+  // before open() must not outlive it.
   drop_sealed();
 
   store::StoreOptions store_options;
@@ -189,13 +189,18 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
 
   // -- Materialize the tip --------------------------------------------------
   // Seed from the highest canonical block with a durable snapshot (genesis's
-  // in-memory snapshot is the fallback), then delta-walk to the head.
+  // in-memory snapshot is the fallback), then delta-walk to the head. A
+  // loaded snapshot replaces tip_state_ wholesale, so the commitment is
+  // re-anchored on it with one O(n) bulk rebuild; without one the commitment
+  // still mirrors genesis exactly. Either way the walk's incremental updates
+  // then keep it equal to root_of(tip_state_).
   for (std::size_t i = canonical_.size(); i-- > 1;) {
     const Hash256& id = canonical_[i];
     auto snapshot = backing->load_snapshot(id);
     if (!snapshot) continue;
     tip_state_ = std::move(*snapshot);
     tip_at_ = id;
+    commitment_.rebuild(tip_state_);
     break;
   }
   move_tip_to(best_head_);
@@ -204,9 +209,6 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
   // The replayed tip state must hash to exactly the commitment the recovered
   // head's header advertises — a mismatch means the log's deltas and the
   // header's root disagree, i.e. corruption the CRC layer could not see.
-  // (The incremental walk above ran against a stale trie; recovery pays one
-  // O(n) bottom-up rebuild to re-anchor it.)
-  commitment_.rebuild(tip_state_);
   if (commitment_.root() != entries_.at(best_head_).block.header.state_root)
     return abort_open("recovered state root mismatch at " + best_head_.hex());
 

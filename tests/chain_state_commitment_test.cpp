@@ -6,7 +6,9 @@
 
 #include <vector>
 
+#include "chain/blockchain.hpp"
 #include "chain/state_commitment.hpp"
+#include "pinned_genesis.hpp"
 #include "util/rng.hpp"
 
 namespace sc::chain {
@@ -52,6 +54,25 @@ TEST(StateCommitment, RebuildMatchesOracleAndCountsNodes) {
   EXPECT_EQ(commitment.account_leaves(), state.account_count());
   // 12 account leaves + 11 branches, plus the 2-slot storage trie (2 + 1).
   EXPECT_EQ(commitment.node_count(), 23u + 3u);
+}
+
+// Genesis over a fixed 10^3-entry allocation list (one address endowed
+// twice, one endowed with zero): the bulk-built root the header commits
+// equals the full-rehash oracle, an incremental update over the genesis
+// delta, and the pinned value.
+TEST(StateCommitment, PinnedGenesisRootMatchesOracleAndUpdate) {
+  const Blockchain chain(pinned::genesis());
+  const WorldState& state = chain.best_state();
+  EXPECT_EQ(state.account_count(), 999u);
+  ASSERT_NE(state.find(pinned::derived(42)), nullptr);  // Zero endowment.
+  EXPECT_EQ(state.balance(pinned::derived(17)), 18 * kEther / 1000 + 3 * kEther);
+  EXPECT_EQ(chain.state_root(), StateCommitment::root_of(state));
+  EXPECT_EQ(chain.block_at(0)->header.state_root, chain.state_root());
+  StateCommitment incremental;
+  incremental.update(*chain.delta_of(chain.genesis_id()), state);
+  EXPECT_EQ(incremental.root(), chain.state_root());
+  EXPECT_EQ(chain.state_root().hex(), pinned::kGenesisRoot);
+  EXPECT_EQ(chain.genesis_id().hex(), pinned::kGenesisId);
 }
 
 TEST(StateCommitment, IncrementalUpdateMatchesFullRebuild) {

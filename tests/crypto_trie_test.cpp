@@ -1,8 +1,9 @@
 // MerkleTrie: the authenticated key-value commitment under the chain's
 // state root. Unit coverage for the crit-bit structure, inclusion/absence
 // proofs and the proof codec, plus the seeded differential fuzz that drives
-// random set/erase streams against the bulk-build oracle (scripts/check.sh
-// reruns it under ASan/UBSan, cranked via SC_TRIE_FUZZ_ROUNDS).
+// random set/erase streams, with root()/prove() reads between the writes,
+// against the bulk-build oracle (scripts/check.sh reruns it under ASan/UBSan,
+// cranked via SC_TRIE_FUZZ_ROUNDS).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -150,9 +151,71 @@ TEST(MerkleTrie, ProofCodecRoundTrip) {
   EXPECT_FALSE(TrieProof::decode(padded).has_value());
 }
 
+TEST(MerkleTrie, ProofBeforeAnyRootReadVerifiesAgainstNextRoot) {
+  // Never-read trie: the proof is the read that flushes.
+  MerkleTrie fresh;
+  for (std::uint64_t i = 0; i < 25; ++i) fresh.set(h(i), h(200 + i));
+  const TrieProof first = fresh.prove(h(9));
+  EXPECT_TRUE(MerkleTrie::verify_present(fresh.root(), h(9), h(209), first));
+
+  // Read once, then several writes nobody has read yet: in-place updates, an
+  // insert and an erase.
+  MerkleTrie trie;
+  for (std::uint64_t i = 0; i < 40; ++i) trie.set(h(i), h(100 + i));
+  (void)trie.root();
+  trie.set(h(3), h(7));
+  trie.set(h(40), h(140));
+  trie.set(h(17), h(8));
+  EXPECT_TRUE(trie.erase(h(21)));
+  const TrieProof present = trie.prove(h(3));
+  const TrieProof inserted = trie.prove(h(40));
+  const TrieProof absent = trie.prove(h(21));
+  const Hash256 root = trie.root();
+  EXPECT_TRUE(MerkleTrie::verify_present(root, h(3), h(7), present));
+  EXPECT_TRUE(MerkleTrie::verify_present(root, h(40), h(140), inserted));
+  EXPECT_TRUE(MerkleTrie::verify_absent(root, h(21), absent));
+
+  std::vector<std::pair<Hash256, Hash256>> leaves;
+  for (std::uint64_t i = 0; i <= 40; ++i)
+    if (i != 21) leaves.emplace_back(h(i), h(100 + i));
+  leaves.emplace_back(h(3), h(7));
+  leaves.emplace_back(h(17), h(8));
+  EXPECT_EQ(root, MerkleTrie::build(leaves).root());
+}
+
+/// One read between writes, in either order: root() must equal a fresh bulk
+/// build of `model`, and a proof for a present or absent key (which may be
+/// the read that flushes) must verify against that root.
+::testing::AssertionResult read_matches(const MerkleTrie& trie,
+                                        const std::map<Hash256, Hash256>& model,
+                                        util::Rng& rng) {
+  const Hash256 expect = MerkleTrie::build(std::vector<std::pair<Hash256, Hash256>>(
+                                               model.begin(), model.end()))
+                             .root();
+  const bool pick_present = !model.empty() && rng.bernoulli(0.7);
+  const Hash256 key =
+      pick_present ? std::next(model.begin(),
+                               static_cast<long>(rng.uniform(model.size())))->first
+                   : random_hash(rng);
+  const bool root_first = rng.bernoulli(0.5);
+  Hash256 got;
+  if (root_first) got = trie.root();
+  const TrieProof proof = trie.prove(key);
+  if (!root_first) got = trie.root();
+  if (got != expect) return ::testing::AssertionFailure() << "root diverged";
+  const auto it = model.find(key);
+  const bool ok = it != model.end()
+                      ? MerkleTrie::verify_present(expect, key, it->second, proof)
+                      : MerkleTrie::verify_absent(expect, key, proof);
+  if (!ok) return ::testing::AssertionFailure() << "proof failed";
+  return ::testing::AssertionSuccess();
+}
+
 // Random set/erase streams against two oracles: a std::map model for
-// membership and MerkleTrie::build for the root. Every round also proves a
-// present and an absent key. SC_TRIE_FUZZ_ROUNDS cranks the effort.
+// membership and MerkleTrie::build for the root. root()/prove() reads land at
+// random points between writes, so a flush sees anywhere from one to dozens
+// of pending writes; every fourth round first drains the trie to empty and
+// refills it from the key pool. SC_TRIE_FUZZ_ROUNDS cranks the effort.
 TEST(TrieDifferentialFuzz, RandomDeltaStreamsMatchFullRecompute) {
   std::uint64_t rounds = 40;
   if (const char* env = std::getenv("SC_TRIE_FUZZ_ROUNDS"))
@@ -163,6 +226,23 @@ TEST(TrieDifferentialFuzz, RandomDeltaStreamsMatchFullRecompute) {
   std::map<Hash256, Hash256> model;
   std::vector<Hash256> keys;  // insertion pool, including erased ones
   for (std::uint64_t round = 0; round < rounds; ++round) {
+    if (round % 4 == 3) {
+      // Erase to empty (reads included, always one on the last leaf alone),
+      // then re-insert into freed slots.
+      while (!model.empty()) {
+        if (model.size() == 1 || rng.bernoulli(0.05)) {
+          ASSERT_TRUE(read_matches(trie, model, rng)) << "round " << round;
+        }
+        const auto it = std::next(model.begin(),
+                                  static_cast<long>(rng.uniform(model.size())));
+        const Hash256 key = it->first;
+        model.erase(it);
+        ASSERT_TRUE(trie.erase(key));
+      }
+      ASSERT_TRUE(trie.empty());
+      ASSERT_TRUE(read_matches(trie, model, rng)) << "round " << round;
+      ASSERT_TRUE(trie.root().is_zero());
+    }
     const std::size_t ops = 20 + rng.uniform(60);
     for (std::size_t i = 0; i < ops; ++i) {
       const bool reuse = !keys.empty() && rng.bernoulli(0.5);
@@ -176,11 +256,11 @@ TEST(TrieDifferentialFuzz, RandomDeltaStreamsMatchFullRecompute) {
         trie.set(key, value);
         model[key] = value;
       }
+      if (rng.bernoulli(0.1)) {
+        ASSERT_TRUE(read_matches(trie, model, rng)) << "round " << round;
+      }
     }
-    // Differential root: incremental == bulk rebuild of the model.
-    const MerkleTrie oracle = MerkleTrie::build(
-        std::vector<std::pair<Hash256, Hash256>>(model.begin(), model.end()));
-    ASSERT_EQ(trie.root(), oracle.root()) << "round " << round;
+    ASSERT_TRUE(read_matches(trie, model, rng)) << "round " << round;
     ASSERT_EQ(trie.leaf_count(), model.size());
 
     if (!model.empty()) {

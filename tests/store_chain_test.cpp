@@ -9,11 +9,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "chain/blockchain.hpp"
+#include "chain/state_commitment.hpp"
+#include "crypto/sha256.hpp"
+#include "pinned_genesis.hpp"
+#include "store/block_store.hpp"
 #include "store/record_log.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -368,6 +375,109 @@ TEST(StoreChain, SnapshotsStayOnDiskOnly) {
     const Hash256& id = ids[h - 1];
     ASSERT_NE(durable.state_of(id), nullptr);
     EXPECT_EQ(durable.state_of(id)->encode(), reference.state_of(id)->encode());
+  }
+}
+
+/// SHA-256 over every file of a store directory: name, then bytes, in name
+/// order.
+std::string dir_digest(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  util::Bytes all;
+  for (const auto& path : files) {
+    const std::string name = path.filename().string();
+    all.insert(all.end(), name.begin(), name.end());
+    std::ifstream in(path, std::ios::binary);
+    all.insert(all.end(), std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  return crypto::Sha256::digest(all).hex();
+}
+
+// A store grown on the pinned 10^3-entry genesis holds exactly the bytes the
+// tree that committed genesis incrementally wrote, and reopens — from the
+// height-8 snapshot plus two deltas — to byte-identical state under the same
+// root.
+TEST(StoreChain, PinnedGenesisStoreIsByteIdenticalAndReopens) {
+  TempDir dir;
+  const GenesisConfig genesis = pinned::genesis(/*flatten_interval=*/8);
+  util::Bytes expect_tip;
+  Hash256 expect_head;
+  std::uint64_t nonce = 0;
+  {
+    Blockchain durable(genesis);
+    Blockchain reference(genesis);
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("store"), {}, &why)) << why;
+    grow(durable, &reference, 10, &nonce);
+    expect_head = reference.best_head();
+    expect_tip = reference.best_state().encode();
+    durable.close();
+  }
+  EXPECT_EQ(dir_digest(dir.sub("store")), pinned::kStoreDigest);
+  Blockchain reopened(genesis);
+  RecoveryReport report;
+  std::string why;
+  ASSERT_TRUE(reopened.open(dir.sub("store"), {}, &why, &report)) << why;
+  EXPECT_EQ(report.blocks_replayed, 10u);
+  EXPECT_TRUE(report.clean_verified);
+  EXPECT_EQ(reopened.best_head(), expect_head);
+  EXPECT_EQ(reopened.best_state().encode(), expect_tip);
+  EXPECT_EQ(reopened.state_root(), StateCommitment::root_of(reopened.best_state()));
+}
+
+// Recovery's root cross-check: a stored delta that disagrees with its block's
+// header root fails open() and leaves the chain at pristine genesis. Covers
+// both ways open() brings the commitment to the head: walking it on from
+// genesis (the bad block sits below the first snapshot height) and
+// rebuilding it on a durable snapshot first (the bad block sits above one).
+TEST(StoreChain, RecoveryRejectsDeltaThatDisagreesWithHeaderRoot) {
+  for (const int honest : {2, 9}) {  // flatten_interval 8: snapshot at 8
+    SCOPED_TRACE("honest blocks " + std::to_string(honest));
+    TempDir dir;
+    const GenesisConfig genesis = test_genesis(/*flatten_interval=*/8);
+    Blockchain reference(genesis);
+    std::uint64_t nonce = 0;
+    std::string why;
+    {
+      Blockchain durable(genesis);
+      ASSERT_TRUE(durable.open(dir.sub("store"), {}, &why)) << why;
+      grow(durable, &reference, honest, &nonce);
+    }
+    std::size_t snap_files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir.sub("store")))
+      if (e.path().extension() == ".snap") ++snap_files;
+    EXPECT_EQ(snap_files > 0, honest >= 8);
+
+    // The next honest block, stored with a delta that credits bob one wei
+    // more than its header's state root commits to.
+    grow(reference, nullptr, 1, &nonce);
+    const Hash256 bad_id = reference.best_head();
+    StateDelta delta = *reference.delta_of(bad_id);
+    StateDelta::AccountChange& bob = delta.changes.at(key(2).address());
+    ASSERT_TRUE(bob.balance.has_value());
+    bob.balance->second += 1;
+    {
+      auto store = store::BlockStore::open(dir.sub("store"), reference.genesis_id(),
+                                           {}, nullptr, &why);
+      ASSERT_TRUE(store) << why;
+      ASSERT_TRUE(store->append_block(*reference.block(bad_id), delta, &why)) << why;
+    }
+
+    Blockchain victim(genesis);
+    const Blockchain pristine(genesis);
+    ASSERT_FALSE(victim.open(dir.sub("store"), {}, &why));
+    EXPECT_NE(why.find("recovered state root mismatch"), std::string::npos) << why;
+    EXPECT_FALSE(victim.persistent());
+    EXPECT_EQ(victim.best_height(), 0u);
+    EXPECT_EQ(victim.best_head(), victim.genesis_id());
+    EXPECT_EQ(victim.best_state().encode(), pristine.best_state().encode());
+    EXPECT_EQ(victim.state_root(), pristine.state_root());
+    EXPECT_EQ(victim.state_root(), StateCommitment::root_of(victim.best_state()));
+    // The failed open left the chain usable.
+    EXPECT_TRUE(victim.open(dir.sub("fresh"), {}, &why)) << why;
   }
 }
 
