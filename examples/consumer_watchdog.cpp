@@ -5,13 +5,16 @@
 // watchdog built on the Consumer API (a) checks the on-chain reference
 // before each deployment, and (b) polls for SmartRetro-style retrospective
 // alerts on systems already running, pulling them from the network the
-// moment a vulnerability is confirmed. A lightweight header-only client
+// moment a vulnerability is confirmed. It then lists the chain's confirmed
+// releases and the revealed reports behind each alert (the consumer
+// look-ups of Section VI-A). A lightweight header-only client
 // double-checks one report by SPV proof, showing the consumer needs no full
 // node of its own.
 //
 //   ./build/examples/consumer_watchdog
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "chain/light_client.hpp"
 #include "core/consumer.hpp"
@@ -34,6 +37,7 @@ int main() {
 
   std::map<std::string, bool> running;  // system name -> currently deployed
   std::map<crypto::Hash256, std::string> names;
+  std::set<crypto::Hash256> alerted;
 
   // Vendors ship five releases over ~50 minutes; quality varies.
   const double vps[] = {0.0, 1.0, 0.0, 1.0, 0.4};
@@ -56,6 +60,7 @@ int main() {
       platform.run_for(60.0);
       for (const auto& alert : watchdog.poll()) {
         running[names[alert.sra_id]] = false;
+        alerted.insert(alert.sra_id);
         std::printf("t=%6.0fs  !! ALERT: %-18s now has %llu confirmed "
                     "vulnerabilities -> UNDEPLOYED\n",
                     platform.simulator().now(), names[alert.sra_id].c_str(),
@@ -71,6 +76,23 @@ int main() {
                 deployed ? "running (no confirmed vulnerabilities)"
                          : "pulled by watchdog");
     safe += deployed ? 1 : 0;
+  }
+
+  // The on-chain reference: every confirmed release, and for each alerted
+  // one the revealed reports (R*) whose findings the registry confirmed.
+  std::printf("\nConfirmed releases on chain:\n");
+  for (const core::SraView& view : watchdog.list_confirmed_sras()) {
+    std::printf("  %-22s recorded at height %-4llu confirmed vulns: %llu\n",
+                (view.sra.name + "/" + view.sra.version).c_str(),
+                static_cast<unsigned long long>(view.block_height),
+                static_cast<unsigned long long>(view.confirmed_vulns));
+    if (!alerted.contains(view.sra.id)) continue;
+    for (const core::DetailedReport& report : watchdog.detection_reports(view.sra.id))
+      for (const detect::Finding& finding : report.description)
+        std::printf("      R* %s... confirms vuln %llu: %s\n",
+                    report.id.hex().substr(0, 12).c_str(),
+                    static_cast<unsigned long long>(finding.vuln_id),
+                    finding.description.c_str());
   }
 
   // SPV spot-check: verify one confirmed report with headers only.

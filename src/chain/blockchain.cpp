@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "chain/difficulty.hpp"
 #include "chain/parallel_executor.hpp"
 #include "chain/pow.hpp"
 #include "crypto/batch_verify.hpp"
@@ -70,9 +69,7 @@ struct Blockchain::Metrics {
 Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
     : telemetry_(tel),
       metrics_(telemetry::resolve(tel).handles<Metrics>()),
-      state_cfg_(genesis.state_store),
-      deep_verify_(genesis.deep_verify),
-      dynamic_difficulty_(genesis.dynamic_difficulty) {
+      state_cfg_(genesis.state_store) {
   if (state_cfg_.flatten_interval == 0) state_cfg_.flatten_interval = 1;
 
   unsigned lanes = genesis.execution.threads;
@@ -87,21 +84,18 @@ Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
   genesis_block.header.difficulty = genesis.difficulty;
   genesis_block.seal_merkle_root();
 
-  Entry entry;
-  entry.cumulative_difficulty = 0;
-  {
-    JournaledState journal(tip_state_);
-    for (const auto& [addr, amount] : genesis.allocations)
-      journal.add_balance(addr, amount);
-    entry.delta = journal.collect_delta();
-    journal.commit(0);
-  }
+  // Allocations go straight into the tip state: genesis keeps an empty delta,
+  // since nothing ever unapplies it (a walk stops at the common ancestor,
+  // state_of starts from genesis's snapshot, and the store never logs it).
+  for (const auto& [addr, amount] : genesis.allocations)
+    tip_state_.add_balance(addr, amount);
   // The genesis header commits the endowed state like any other block —
   // stamped before the id so allocations are part of the chain identity.
   // Every account is new, so the bulk build (one hash per node) gives the
-  // root an update() over the genesis delta would, at a fraction of its cost.
+  // root an incremental update would, at a fraction of its cost.
   commitment_.rebuild(tip_state_);
   genesis_block.header.state_root = commitment_.root();
+  Entry entry;
   entry.block = genesis_block;
   entry.arrival_order = arrival_counter_++;
 
@@ -256,7 +250,6 @@ BlockEnv Blockchain::env_of(const Block& block) const {
   env.number = block.header.height;
   env.timestamp = block.header.timestamp;
   env.miner = block.header.miner;
-  if (deep_verify_.enabled) env.deep_verify = &deep_verify_;
   return env;
 }
 
@@ -352,13 +345,6 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     return fail("height mismatch");
   if (block.header.timestamp < parent.block.header.timestamp)
     return fail("timestamp regression");
-  if (dynamic_difficulty_) {
-    const std::uint64_t required =
-        adjust_per_block(parent.block.header.difficulty,
-                         parent.block.header.timestamp, block.header.timestamp,
-                         RetargetConfig{});
-    if (block.header.difficulty != required) return fail("wrong difficulty");
-  }
   // Each transaction is hashed once per connect: the ids serve the Merkle
   // check, the signature cache and the tx index.
   const std::vector<Hash256> tx_ids = block.leaves();
@@ -689,12 +675,6 @@ bool Blockchain::tx_confirmed(const Hash256& tx_id, std::uint64_t depth) const {
   return loc && is_confirmed(loc->block_id, depth);
 }
 
-std::uint64_t Blockchain::required_difficulty(std::uint64_t child_timestamp) const {
-  const Entry& head = entries_.at(best_head_);
-  return adjust_per_block(head.block.header.difficulty, head.block.header.timestamp,
-                          child_timestamp, RetargetConfig{});
-}
-
 Block Blockchain::build_block_template(const Address& miner, std::uint64_t timestamp,
                                        std::uint64_t difficulty,
                                        std::vector<Transaction> txs) {
@@ -703,9 +683,7 @@ Block Blockchain::build_block_template(const Address& miner, std::uint64_t times
   block.header.height = head.block.header.height + 1;
   block.header.prev_id = best_head_;
   block.header.timestamp = std::max(timestamp, head.block.header.timestamp);
-  block.header.difficulty = dynamic_difficulty_
-                                ? required_difficulty(block.header.timestamp)
-                                : difficulty;
+  block.header.difficulty = difficulty;
   block.header.miner = miner;
   block.transactions = std::move(txs);
   block.seal_merkle_root();

@@ -43,7 +43,6 @@
 #include "chain/state_commitment.hpp"
 #include "chain/state_journal.hpp"
 #include "chain/store_hook.hpp"
-#include "symex/properties.hpp"
 
 namespace sc::util {
 class ThreadPool;
@@ -75,18 +74,10 @@ struct GenesisConfig {
   std::vector<std::pair<Address, Amount>> allocations;
   std::uint64_t timestamp = 0;
   std::uint64_t difficulty = 1;
-  /// When true, every block's declared difficulty must equal the per-block
-  /// retarget of its parent (chain/difficulty.hpp) — consensus-enforced
-  /// difficulty control instead of the paper's fixed testbed value.
-  bool dynamic_difficulty = false;
   /// Diff/snapshot trade-off of the state store.
   StateStoreConfig state_store;
   /// Sequential vs parallel block execution + signature caching.
   ExecutionConfig execution;
-  /// Opt-in symbolic deploy gate: when enabled, every deploy is bounded
-  /// model checked (sc::symex) after static verification and rejected on a
-  /// replay-confirmed economic-invariant violation.
-  symex::DeepVerifyConfig deep_verify;
 };
 
 /// Knobs for the durable store attached by Blockchain::open.
@@ -199,7 +190,8 @@ class Blockchain {
   /// re-executes the body of a deep or replayed block on its parent's state.
   const std::vector<Receipt>* receipts(const Hash256& block_id) const;
 
-  /// Per-block state diff (always present; empty for no-op blocks).
+  /// Per-block state diff (always present; empty for no-op blocks and for
+  /// genesis, whose allocations are written straight into its snapshot).
   const StateDelta* delta_of(const Hash256& block_id) const;
 
   /// Deep blocks a durable chain keeps read back from the store at once.
@@ -226,8 +218,6 @@ class Blockchain {
   /// state root sealed (the body is speculatively executed to stamp the
   /// post-state commitment — the "miner executes first" rule). Caller mines.
   /// The execution result is held for this block's own submit_block.
-  /// Under dynamic difficulty, the `difficulty` argument is ignored and the
-  /// consensus-mandated value is stamped instead.
   Block build_block_template(const Address& miner, std::uint64_t timestamp,
                              std::uint64_t difficulty,
                              std::vector<Transaction> txs);
@@ -259,10 +249,6 @@ class Blockchain {
   StorageProof prove_storage(const Address& addr, const crypto::U256& slot) const {
     return commitment().prove_storage(addr, slot, tip_state_);
   }
-
-  /// The difficulty consensus requires for a child of the current best head
-  /// at the given timestamp.
-  std::uint64_t required_difficulty(std::uint64_t child_timestamp) const;
 
   std::size_t block_count() const { return entries_.size(); }
 
@@ -362,13 +348,11 @@ class Blockchain {
   /// Set when the store degraded to read-only mid-run (see store_degraded()).
   bool store_degraded_ = false;
   StateStoreConfig state_cfg_;
-  symex::DeepVerifyConfig deep_verify_;
   SigCache sig_cache_;
   /// Worker pool for parallel execution + batched signature verification;
   /// null when execution.threads resolves to 1 (sequential mode).
   std::unique_ptr<util::ThreadPool> exec_pool_;
   std::unordered_map<Hash256, Entry> entries_;
-  bool dynamic_difficulty_ = false;
   Hash256 genesis_id_;
   Hash256 best_head_;
   std::uint64_t arrival_counter_ = 0;

@@ -1,31 +1,8 @@
 #include "chain/difficulty.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sc::chain {
-
-std::uint64_t retarget_window(std::span<const BlockHeader> window_headers,
-                              const RetargetConfig& config) {
-  if (window_headers.size() < 2) {
-    return window_headers.empty() ? config.min_difficulty
-                                  : std::max(config.min_difficulty,
-                                             window_headers.back().difficulty);
-  }
-  const double spanned = static_cast<double>(window_headers.back().timestamp -
-                                             window_headers.front().timestamp);
-  const double expected = config.target_block_time *
-                          static_cast<double>(window_headers.size() - 1);
-  const std::uint64_t current = window_headers.back().difficulty;
-
-  // actual < expected → blocks too fast → raise difficulty (and vice versa),
-  // clamped so a pathological window cannot swing the target wildly.
-  double ratio = spanned <= 0.0 ? config.max_adjustment : expected / spanned;
-  ratio = std::clamp(ratio, 1.0 / config.max_adjustment, config.max_adjustment);
-  const double next = static_cast<double>(current) * ratio;
-  return std::max<std::uint64_t>(config.min_difficulty,
-                                 static_cast<std::uint64_t>(next + 0.5));
-}
 
 std::uint64_t adjust_per_block(std::uint64_t parent_difficulty,
                                std::uint64_t parent_timestamp,

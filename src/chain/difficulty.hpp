@@ -1,15 +1,14 @@
 // Difficulty retargeting: keeps the block interval near the 15 s target as
 // hashing power joins or leaves the provider pool.
 //
-// The paper fixes difficulty (0xf00000) on its 5-node testbed; a deployable
-// SmartCrowd needs retargeting because provider participation is dynamic.
-// We implement a Bitcoin-style window retarget with a 4x clamp, plus an
-// Ethereum-homestead-style per-block adjustment, and benchmark their
-// convergence in tests.
+// The paper fixes difficulty (0xf00000) on its 5-node testbed, and so does
+// this chain's consensus: a block's difficulty is checked only by its proof
+// of work. A deployable SmartCrowd would need retargeting, because provider
+// participation is dynamic; bench/ext_retarget measures how this
+// Ethereum-homestead-style per-block controller converges under churn.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "chain/block.hpp"
 
@@ -17,15 +16,8 @@ namespace sc::chain {
 
 struct RetargetConfig {
   double target_block_time = kTargetBlockTime;
-  std::uint32_t window = 32;         ///< Blocks per retarget period.
   std::uint64_t min_difficulty = 1;
-  double max_adjustment = 4.0;       ///< Clamp factor per retarget.
 };
-
-/// Window retarget (Bitcoin-style): given the headers of one completed
-/// window (oldest first, size >= 2), returns the next difficulty.
-std::uint64_t retarget_window(std::span<const BlockHeader> window_headers,
-                              const RetargetConfig& config);
 
 /// Per-block adjustment (Ethereum-homestead flavour):
 /// next = parent + parent/2048 * clamp(1 - (ts_child - ts_parent)/target, -99, 1).

@@ -175,12 +175,6 @@ Receipt execute_transaction(State& state, const BlockEnv& env, const Transaction
       if (!analysis::verify_code(tx.data, &verify_why))
         return finish(TxStatus::kInvalidCode, "static verification: " + verify_why);
 
-      // Opt-in symbolic gate: bounded model check of the economic
-      // invariants; rejects only on a replay-confirmed counterexample
-      // (or any kUnknown verdict in strict mode).
-      if (!deep_verify_deploy(tx.data, env.deep_verify, tel, &verify_why))
-        return finish(TxStatus::kInvalidCode, "symbolic verification: " + verify_why);
-
       const Gas deposit = vm::gas::kCodeDepositPerByte * tx.data.size();
       if (gas_used + deposit > tx.gas_limit) {
         gas_used = tx.gas_limit;

@@ -2,35 +2,9 @@
 
 #include "chain/exec_core.hpp"
 #include "chain/sig_cache.hpp"
-#include "symex/properties.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sc::chain {
-
-bool deep_verify_deploy(util::ByteSpan code, const symex::DeepVerifyConfig* cfg,
-                        telemetry::Telemetry* tel, std::string* why) {
-  if (!cfg || !cfg->enabled) return true;
-  const symex::SymexReport report =
-      symex::check_contract(code, cfg->spec, cfg->symex, tel);
-  auto reject = [&](const symex::PropertyReport& p) {
-    if (why) *why = std::string(p.name) + " " + symex::verdict_name(p.verdict) +
-                    ": " + p.detail;
-    telemetry::resolve(tel)
-        .registry
-        .counter("analysis_symex_deploys_rejected_total",
-                 "Deploys rejected by the symbolic gate",
-                 {{"property", p.name}})
-        .inc();
-    return false;
-  };
-  for (const symex::PropertyReport* p : {&report.escrow, &report.payout}) {
-    if (p->verdict == symex::PropertyVerdict::kViolated) return reject(*p);
-    if (cfg->reject_on_unknown &&
-        p->verdict == symex::PropertyVerdict::kUnknown)
-      return reject(*p);
-  }
-  return true;
-}
 
 std::string_view to_string(TxStatus status) {
   switch (status) {

@@ -26,10 +26,6 @@ namespace sc::telemetry {
 struct Telemetry;
 }
 
-namespace sc::symex {
-struct DeepVerifyConfig;
-}
-
 namespace sc::chain {
 
 enum class TxStatus : std::uint8_t {
@@ -84,17 +80,7 @@ struct BlockEnv {
   std::uint64_t number = 0;
   std::uint64_t timestamp = 0;
   Address miner;
-  /// Opt-in symbolic deploy gate (GenesisConfig::deep_verify). nullptr or
-  /// !enabled => deploys are checked by the static verifier only.
-  const symex::DeepVerifyConfig* deep_verify = nullptr;
 };
-
-/// Runs the symbolic deploy gate over deploy code. Returns true when the
-/// gate is disabled (`cfg` null or !enabled) or the code passes; on
-/// rejection fills `why` with the violated property and witness summary.
-/// Shared by the journaled, parallel and legacy executors.
-bool deep_verify_deploy(util::ByteSpan code, const symex::DeepVerifyConfig* cfg,
-                        telemetry::Telemetry* tel, std::string* why);
 
 /// Applies one transaction through the journal. On any failure after the
 /// nonce/balance gate, the nonce still advances and gas is charged (Ethereum

@@ -128,8 +128,6 @@ Receipt apply_transaction(WorldState& state, const BlockEnv& env,
       std::string verify_why;
       if (!analysis::verify_code(tx.data, &verify_why))
         return finish(TxStatus::kInvalidCode, "static verification: " + verify_why);
-      if (!deep_verify_deploy(tx.data, env.deep_verify, tel, &verify_why))
-        return finish(TxStatus::kInvalidCode, "symbolic verification: " + verify_why);
 
       const Gas deposit = vm::gas::kCodeDepositPerByte * tx.data.size();
       if (gas_used + deposit > tx.gas_limit) {

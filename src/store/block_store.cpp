@@ -282,7 +282,6 @@ bool BlockStore::index_block(const crypto::Hash256& id, std::uint64_t height,
                              std::uint64_t offset) {
   if (by_id_.contains(id)) return false;  // duplicate record = corruption
   by_id_.emplace(id, IndexEntry{height, offset});
-  by_height_[height].push_back(id);
   order_.push_back(id);
   max_height_ = std::max(max_height_, height);
   return true;
@@ -576,13 +575,9 @@ bool BlockStore::compact(const std::vector<crypto::Hash256>& keep,
   // Rebuild the in-memory view; drop snapshots of discarded blocks.
   order_ = std::move(new_order);
   by_id_ = std::move(new_by_id);
-  by_height_.clear();
   max_height_ = 0;
-  for (const auto& id : order_) {
-    const IndexEntry& entry = by_id_.at(id);
-    by_height_[entry.height].push_back(id);
-    max_height_ = std::max(max_height_, entry.height);
-  }
+  for (const auto& id : order_)
+    max_height_ = std::max(max_height_, by_id_.at(id).height);
   for (auto it = snapshots_.begin(); it != snapshots_.end();) {
     if (keep_set.contains(it->first)) {
       ++it;
@@ -612,10 +607,6 @@ bool BlockStore::for_each_block(
   return true;
 }
 
-bool BlockStore::contains(const crypto::Hash256& id) const {
-  return by_id_.contains(id);
-}
-
 std::optional<std::pair<chain::Block, chain::StateDelta>> BlockStore::record_by_id(
     const crypto::Hash256& id) const {
   if (!log_) return std::nullopt;
@@ -626,11 +617,6 @@ std::optional<std::pair<chain::Block, chain::StateDelta>> BlockStore::record_by_
   auto decoded = decode_block_payload(*payload);
   if (!decoded) return std::nullopt;
   return std::make_pair(std::move(decoded->block), std::move(decoded->delta));
-}
-
-std::vector<crypto::Hash256> BlockStore::ids_at(std::uint64_t height) const {
-  const auto it = by_height_.find(height);
-  return it == by_height_.end() ? std::vector<crypto::Hash256>{} : it->second;
 }
 
 bool BlockStore::has_snapshot(const crypto::Hash256& id) const {
@@ -656,15 +642,6 @@ std::optional<chain::WorldState> BlockStore::load_snapshot(
     return false;
   });
   return state;
-}
-
-std::vector<std::pair<std::uint64_t, crypto::Hash256>> BlockStore::snapshots()
-    const {
-  std::vector<std::pair<std::uint64_t, crypto::Hash256>> out;
-  out.reserve(snapshots_.size());
-  for (const auto& [id, info] : snapshots_) out.emplace_back(info.first, id);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 const std::optional<TipRecord>& BlockStore::journal_tip() const {

@@ -105,17 +105,12 @@ class BlockStore {
       const std::function<bool(chain::Block&&, chain::StateDelta&&)>& visit,
       std::string* why) const;
 
-  bool contains(const crypto::Hash256& id) const;
   /// Block and delta of one stored record (nullopt if unknown or unreadable).
   std::optional<std::pair<chain::Block, chain::StateDelta>> record_by_id(
       const crypto::Hash256& id) const;
-  /// Ids recorded at `height`, in append order (forks make this non-unique).
-  std::vector<crypto::Hash256> ids_at(std::uint64_t height) const;
 
   bool has_snapshot(const crypto::Hash256& id) const;
   std::optional<chain::WorldState> load_snapshot(const crypto::Hash256& id) const;
-  /// All snapshots as {height, id}, ascending by height.
-  std::vector<std::pair<std::uint64_t, crypto::Hash256>> snapshots() const;
 
   const std::optional<TipRecord>& journal_tip() const;
   std::uint64_t block_count() const { return order_.size(); }
@@ -162,7 +157,6 @@ class BlockStore {
   std::unique_ptr<TipJournal> journal_;
 
   std::unordered_map<crypto::Hash256, IndexEntry> by_id_;
-  std::unordered_map<std::uint64_t, std::vector<crypto::Hash256>> by_height_;
   std::vector<crypto::Hash256> order_;  ///< Append order (replay order).
   std::uint64_t max_height_ = 0;
   /// Snapshot id -> {height, file path}.

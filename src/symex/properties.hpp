@@ -113,8 +113,7 @@ struct SymexReport {
   PropertyReport payout;
   SolverStats solver;
 
-  /// No confirmed violation (kUnknown does NOT fail the report; the deploy
-  /// gate decides separately via DeepVerifyConfig::reject_on_unknown).
+  /// No confirmed violation (kUnknown does NOT fail the report).
   bool ok() const {
     return escrow.verdict != PropertyVerdict::kViolated &&
            payout.verdict != PropertyVerdict::kViolated;
@@ -123,18 +122,6 @@ struct SymexReport {
     return escrow.verdict == PropertyVerdict::kUnknown ||
            payout.verdict == PropertyVerdict::kUnknown;
   }
-};
-
-/// Opt-in deploy-gate knob (GenesisConfig::deep_verify): when enabled, the
-/// chain executor runs check_contract on every deploy after the static
-/// verifier and rejects code with a replay-confirmed invariant violation.
-struct DeepVerifyConfig {
-  bool enabled = false;
-  ContractSpec spec;
-  SymexConfig symex;
-  /// Also reject deploys whose report carries kUnknown verdicts (strict
-  /// mode; kUnknown is NOT a confirmed violation, see verdict semantics).
-  bool reject_on_unknown = false;
 };
 
 /// vm::Outcome a path end must reproduce on replay.

@@ -140,49 +140,6 @@ TEST_F(LightClientTest, HeaderAtCanonicalHeight) {
   EXPECT_FALSE(light_.header_at(2).has_value());
 }
 
-TEST(Difficulty, WindowRetargetRaisesWhenTooFast) {
-  RetargetConfig config;
-  config.target_block_time = 15.0;
-  std::vector<BlockHeader> window(11);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    window[i].timestamp = i * 5;  // 5 s blocks: 3x too fast
-    window[i].difficulty = 3000;
-  }
-  const std::uint64_t next = retarget_window(window, config);
-  EXPECT_NEAR(static_cast<double>(next), 9000.0, 100.0);
-}
-
-TEST(Difficulty, WindowRetargetLowersWhenTooSlow) {
-  RetargetConfig config;
-  std::vector<BlockHeader> window(11);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    window[i].timestamp = i * 30;  // 2x too slow
-    window[i].difficulty = 3000;
-  }
-  EXPECT_NEAR(static_cast<double>(retarget_window(window, config)), 1500.0, 50.0);
-}
-
-TEST(Difficulty, WindowRetargetClamped) {
-  RetargetConfig config;
-  std::vector<BlockHeader> window(11);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    window[i].timestamp = i;  // absurdly fast
-    window[i].difficulty = 1000;
-  }
-  EXPECT_EQ(retarget_window(window, config), 4000u);  // 4x cap
-  for (std::size_t i = 0; i < window.size(); ++i)
-    window[i].timestamp = i * 1000;  // absurdly slow
-  EXPECT_EQ(retarget_window(window, config), 250u);  // 1/4 floor
-}
-
-TEST(Difficulty, WindowRetargetDegenerateInputs) {
-  RetargetConfig config;
-  EXPECT_EQ(retarget_window({}, config), config.min_difficulty);
-  std::vector<BlockHeader> one(1);
-  one[0].difficulty = 77;
-  EXPECT_EQ(retarget_window(one, config), 77u);
-}
-
 TEST(Difficulty, PerBlockAdjustmentDirection) {
   RetargetConfig config;
   config.target_block_time = 15.0;
@@ -192,34 +149,6 @@ TEST(Difficulty, PerBlockAdjustmentDirection) {
   EXPECT_LT(adjust_per_block(100000, 0, 60, config), 100000u);
   // Never below the floor.
   EXPECT_GE(adjust_per_block(2, 0, 100000, config), config.min_difficulty);
-}
-
-TEST(Difficulty, ConsensusEnforcedDynamicDifficulty) {
-  const auto funder = key(40);
-  const auto miner = key(41);
-  GenesisConfig genesis{{{funder.address(), 100 * kEther}}, 0, 100000};
-  genesis.dynamic_difficulty = true;
-  Blockchain chain(genesis);
-
-  // A fast child (5 s after genesis) must declare a RAISED difficulty.
-  const std::uint64_t required = chain.required_difficulty(5);
-  EXPECT_GT(required, 100000u);
-
-  // Wrong declared difficulty is rejected.
-  Block wrong = chain.build_block_template(miner.address(), 5, 0, {});
-  wrong.header.difficulty = 100000;  // stale parent value
-  wrong.seal_merkle_root();
-  std::string why;
-  EXPECT_FALSE(chain.submit_block(wrong, &why, /*skip_pow=*/true));
-  EXPECT_EQ(why, "wrong difficulty");
-
-  // The template stamps the mandated difficulty and connects.
-  Block right = chain.build_block_template(miner.address(), 5, 0, {});
-  EXPECT_EQ(right.header.difficulty, required);
-  EXPECT_TRUE(chain.submit_block(right, &why, /*skip_pow=*/true)) << why;
-
-  // A slow child of the new head must declare a LOWERED difficulty.
-  EXPECT_LT(chain.required_difficulty(5 + 100), required);
 }
 
 TEST(Difficulty, PerBlockConvergesTowardTarget) {

@@ -58,8 +58,9 @@ TEST(StateCommitment, RebuildMatchesOracleAndCountsNodes) {
 
 // Genesis over a fixed 10^3-entry allocation list (one address endowed
 // twice, one endowed with zero): the bulk-built root the header commits
-// equals the full-rehash oracle, an incremental update over the genesis
-// delta, and the pinned value.
+// equals the full-rehash oracle, an incremental update over the allocations
+// journaled onto an empty state, and the pinned value. Genesis itself keeps
+// no delta.
 TEST(StateCommitment, PinnedGenesisRootMatchesOracleAndUpdate) {
   const Blockchain chain(pinned::genesis());
   const WorldState& state = chain.best_state();
@@ -68,8 +69,18 @@ TEST(StateCommitment, PinnedGenesisRootMatchesOracleAndUpdate) {
   EXPECT_EQ(state.balance(pinned::derived(17)), 18 * kEther / 1000 + 3 * kEther);
   EXPECT_EQ(chain.state_root(), StateCommitment::root_of(state));
   EXPECT_EQ(chain.block_at(0)->header.state_root, chain.state_root());
+  ASSERT_NE(chain.delta_of(chain.genesis_id()), nullptr);
+  EXPECT_TRUE(chain.delta_of(chain.genesis_id())->empty());
+
+  WorldState journaled;
+  JournaledState journal(journaled);
+  for (const auto& [addr, amount] : pinned::genesis().allocations)
+    journal.add_balance(addr, amount);
+  const StateDelta delta = journal.collect_delta();
+  journal.commit(0);
+  EXPECT_EQ(journaled.encode(), state.encode());
   StateCommitment incremental;
-  incremental.update(*chain.delta_of(chain.genesis_id()), state);
+  incremental.update(delta, journaled);
   EXPECT_EQ(incremental.root(), chain.state_root());
   EXPECT_EQ(chain.state_root().hex(), pinned::kGenesisRoot);
   EXPECT_EQ(chain.genesis_id().hex(), pinned::kGenesisId);

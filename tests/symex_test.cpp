@@ -1,17 +1,14 @@
 // sc::symex test suite: expression folding, the layered word-level solver,
-// the bounded path explorer, the SmartCrowd economic-invariant goldens, the
-// adversarial corpus refutations, and the symbolic deploy gate.
+// the bounded path explorer, the SmartCrowd economic-invariant goldens and
+// the adversarial corpus refutations.
 #include <gtest/gtest.h>
 
-#include "chain/executor.hpp"
-#include "chain/state.hpp"
 #include "contracts/smartcrowd_contract.hpp"
 #include "symex/corpus.hpp"
 #include "symex/explore.hpp"
 #include "symex/properties.hpp"
 #include "symex/solver.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/rng.hpp"
 #include "vm/assembler.hpp"
 
 namespace sc::symex {
@@ -281,72 +278,34 @@ TEST(SymexCorpus, RefutesEveryBrokenContractWithReplayedWitness) {
   }
 }
 
-// ---- Deploy gate -----------------------------------------------------------
-
-util::Bytes corpus_code(const std::string& name) {
+// Per contract, the verdict scvm_lint --deep reports: which property a broken
+// corpus entry violates, and that clean code passes. SmartCrowd's own pass
+// is asserted above.
+SymexReport check_corpus_entry(const std::string& name) {
   for (const CorpusEntry& entry : adversarial_corpus()) {
     if (entry.name != name) continue;
     const vm::AssembleResult assembled = vm::assemble(entry.source);
-    EXPECT_TRUE(assembled.ok());
-    return assembled.code;
+    EXPECT_TRUE(assembled.ok()) << name;
+    return check_contract(assembled.code);
   }
   ADD_FAILURE() << "no corpus entry " << name;
   return {};
 }
 
-TEST(SymexDeployGate, RejectsViolationsAndPassesHonestCode) {
-  DeepVerifyConfig cfg;
-  cfg.enabled = true;
-  std::string why;
+TEST(SymexCorpus, NamesTheViolatedPropertyAndPassesCleanCode) {
+  const SymexReport pay_any = check_corpus_entry("pay-any-caller");
+  EXPECT_FALSE(pay_any.ok());
+  EXPECT_EQ(pay_any.payout.verdict, PropertyVerdict::kViolated);
+  EXPECT_STREQ(pay_any.payout.name, "payout-requires-deposit");
 
-  EXPECT_FALSE(chain::deep_verify_deploy(corpus_code("pay-any-caller"), &cfg,
-                                         nullptr, &why));
-  EXPECT_NE(why.find("payout-requires-deposit"), std::string::npos) << why;
+  const SymexReport rug_pull = check_corpus_entry("rug-pull");
+  EXPECT_FALSE(rug_pull.ok());
+  EXPECT_EQ(rug_pull.escrow.verdict, PropertyVerdict::kViolated);
+  EXPECT_STREQ(rug_pull.escrow.name, "escrow-conservation");
 
-  EXPECT_TRUE(
-      chain::deep_verify_deploy(corpus_code("dead-guard"), &cfg, nullptr, &why));
-  EXPECT_TRUE(chain::deep_verify_deploy(contracts::contract_bytecode(), &cfg,
-                                        nullptr, &why));
-
-  // Disabled (or absent) config gates nothing.
-  cfg.enabled = false;
-  EXPECT_TRUE(chain::deep_verify_deploy(corpus_code("pay-any-caller"), &cfg,
-                                        nullptr, &why));
-  EXPECT_TRUE(chain::deep_verify_deploy(corpus_code("pay-any-caller"), nullptr,
-                                        nullptr, &why));
-}
-
-TEST(SymexDeployGate, ExecutorRejectsDeployWithInvalidCode) {
-  util::Rng rng(99);
-  const auto alice = crypto::KeyPair::generate(rng);
-  chain::WorldState state;
-  state.add_balance(alice.address(), chain::kEther);
-
-  DeepVerifyConfig cfg;
-  cfg.enabled = true;
-  chain::BlockEnv env;
-  env.deep_verify = &cfg;
-
-  chain::Transaction tx;
-  tx.kind = chain::TxKind::kDeploy;
-  tx.gas_limit = 500000;
-  tx.data = corpus_code("rug-pull");
-  tx.sign_with(alice);
-  const chain::Receipt r = chain::apply_transaction(state, env, tx);
-  EXPECT_EQ(r.status, chain::TxStatus::kInvalidCode);
-  EXPECT_NE(r.error.find("symbolic verification"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("escrow-conservation"), std::string::npos) << r.error;
-
-  // The same deploy without the gate goes through.
-  chain::Transaction ok_tx;
-  ok_tx.kind = chain::TxKind::kDeploy;
-  ok_tx.nonce = state.nonce(alice.address());
-  ok_tx.gas_limit = 500000;
-  ok_tx.data = corpus_code("rug-pull");
-  ok_tx.sign_with(alice);
-  chain::BlockEnv open_env;
-  const chain::Receipt r2 = chain::apply_transaction(state, open_env, ok_tx);
-  EXPECT_EQ(r2.status, chain::TxStatus::kSuccess) << r2.error;
+  const SymexReport dead_guard = check_corpus_entry("dead-guard");
+  EXPECT_TRUE(dead_guard.ok());
+  EXPECT_FALSE(dead_guard.has_unknown());
 }
 
 }  // namespace
