@@ -5,7 +5,10 @@
 //     10/20/30 minutes at 1000 ether insurance. Paper: higher HP → larger
 //     VPB (e.g. 0.038 for 14.90% HP at 10 min).
 // (b) Provider balance at VPB-0.01 / VPB / VPB+0.01 over a 10-minute window:
-//     break-even at VPB, ±0.01 swings the balance by ∓10 ether.
+//     break-even at VPB, ±0.01 swings the balance by ∓10 ether. Each
+//     simulated (b') row also prints the exact integer sum of the net
+//     balances it averages, so a one-neth change in any payout shows.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -76,6 +79,7 @@ int main(int argc, char** argv) {
   for (double offset : {-0.01, 0.0, +0.01}) {
     const double vp = std::max(0.0, vpb + offset);
     double net = 0.0;
+    std::int64_t net_neth = 0;  // the same sum, exact in the chain's base unit
     for (std::uint64_t t = 0; t < trials; ++t) {
       core::PlatformConfig cfg;
       for (double share : hp) cfg.providers.push_back({share, 100'000 * kEther});
@@ -85,11 +89,16 @@ int main(int argc, char** argv) {
       core::Platform trial(std::move(cfg));
       trial.release_system(2, vp, 1000 * kEther, 10 * kEther);
       trial.run_for(600.0);
-      net += trial.provider_stats(2).net_ether();
+      const core::ProviderStats& stats = trial.provider_stats(2);
+      net += stats.net_ether();
+      net_neth += static_cast<std::int64_t>(stats.incentives()) -
+                  static_cast<std::int64_t>(stats.punishments());
     }
     std::printf("VP=VPB%+.2f (%.4f): mean net balance %8.2f eth over %llu runs\n",
                 offset, vp, net / static_cast<double>(trials),
                 static_cast<unsigned long long>(trials));
+    std::printf("  sum of the net balances it averages: %lld neth\n",
+                static_cast<long long>(net_neth));
   }
   std::printf("(balance crosses zero near VPB; lossy above, profitable below)\n");
   return 0;

@@ -82,10 +82,12 @@ int main() {
   // one the revealed reports (R*) whose findings the registry confirmed.
   std::printf("\nConfirmed releases on chain:\n");
   for (const core::SraView& view : watchdog.list_confirmed_sras()) {
-    std::printf("  %-22s recorded at height %-4llu confirmed vulns: %llu\n",
+    std::printf("  %-22s recorded at height %-4llu confirmed vulns: %llu  "
+                "escrow: %s\n",
                 (view.sra.name + "/" + view.sra.version).c_str(),
                 static_cast<unsigned long long>(view.block_height),
-                static_cast<unsigned long long>(view.confirmed_vulns));
+                static_cast<unsigned long long>(view.confirmed_vulns),
+                view.insurance_intact ? "intact" : "bounties paid");
     if (!alerted.contains(view.sra.id)) continue;
     for (const core::DetailedReport& report : watchdog.detection_reports(view.sra.id))
       for (const detect::Finding& finding : report.description)

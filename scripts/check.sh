@@ -78,8 +78,12 @@ ctest --test-dir build-asan --output-on-failure \
 
 echo "== ASan/UBSan: store byte layer + serialization fuzz =="
 # Torn-tail repair, recovery and the codec round-trip/bit-flip fuzzers are
-# exactly the code that touches raw buffers — rerun them sanitized.
-ctest --test-dir build-asan --output-on-failure -R "RecordLog|TipJournal|Crc32|StoreCodecFuzz"
+# exactly the code that touches raw buffers — rerun them sanitized, with
+# the in-place snapshot encoder (against its reference), the snapshot
+# budget's cadence and reopen, and kill-point recovery across skipped
+# snapshot heights.
+ctest --test-dir build-asan --output-on-failure \
+  -R "RecordLog|TipJournal|Crc32|StoreCodecFuzz|EncodeDifferential|SnapshotBudget|StoreCrash"
 
 echo "== ASan/UBSan: failpoint framework + chaos smoke =="
 # The fault units hit every store degradation path; a sanitized chaos batch

@@ -159,9 +159,9 @@ bool Blockchain::compact_store(std::uint64_t finality_depth, std::string* why) {
 
 void Blockchain::flatten_into(Entry& entry) {
   if (store_ && !store_degraded_) {
-    // Durable node: the snapshot lives on disk and historic materialization
-    // reads it back — per-block memory stays O(delta) no matter the chain
-    // length (the honest-memory story in docs/performance.md).
+    // Durable node: the store writes the snapshot to disk once its log has
+    // paid for it, and materialization reads it back — per-block memory
+    // stays O(delta) whatever the chain length (docs/persistence.md).
     std::string why;
     store_->write_snapshot(entry.block.header.height, entry.block.id(),
                            tip_state_, &why);

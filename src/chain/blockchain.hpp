@@ -12,8 +12,10 @@
 // State storage is diff-based: each block keeps only the `StateDelta` its
 // transactions introduced (O(diff) memory), with a full `WorldState`
 // snapshot every `StateStoreConfig::flatten_interval` blocks as a
-// materialization anchor. The canonical-tip state is one mutable
-// `WorldState` that submit_block walks across the block tree by
+// materialization anchor — in RAM on a RAM-only chain; on a durable one, on
+// disk at those flatten heights where the store's byte budget says so (one
+// snapshot's bytes of log growth since the last). The canonical-tip state is
+// one mutable `WorldState` that submit_block walks across the block tree by
 // unapplying/applying deltas — fork switches and reorgs cost O(changed
 // entries along the fork), not O(accounts). Historic states
 // (`state_of`) are rebuilt from the nearest snapshot on demand and cached.
@@ -52,9 +54,13 @@ namespace sc::chain {
 
 /// Knobs for the diff-based state store.
 struct StateStoreConfig {
-  /// A full post-state snapshot is kept every `flatten_interval` blocks
-  /// (heights divisible by it; genesis is always anchored). Smaller values
-  /// trade memory for faster historic materialization.
+  /// A RAM-only chain keeps a full post-state snapshot every
+  /// `flatten_interval` blocks (heights divisible by it; genesis is always
+  /// anchored); smaller values trade memory for faster historic
+  /// materialization. A durable chain offers the store a snapshot at those
+  /// heights, and the store writes one once its log has grown by one
+  /// snapshot's bytes (StoreHook::write_snapshot). Either way it bounds the
+  /// deltas a durable chain keeps in RAM.
   std::uint64_t flatten_interval = 32;
 };
 
@@ -90,6 +96,9 @@ struct PersistenceOptions {
 /// What Blockchain::open found and did while replaying an existing store.
 struct RecoveryReport {
   std::uint64_t blocks_replayed = 0;
+  /// Height of the on-disk snapshot the tip state was rebuilt from (0: none,
+  /// the delta walk started at genesis).
+  std::uint64_t snapshot_height = 0;
   bool torn_tail_truncated = false;
   /// The tip journal acknowledged a block the (repaired) log no longer holds:
   /// the node crashed inside the append window and a valid prefix of the

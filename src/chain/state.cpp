@@ -1,6 +1,7 @@
 #include "chain/state.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "crypto/sha256.hpp"
 #include "util/serialize.hpp"
@@ -61,33 +62,74 @@ std::size_t WorldState::approx_bytes() const {
   return total;
 }
 
-util::Bytes WorldState::encode() const {
-  // Address order makes the encoding independent of unordered_map history;
-  // storage is a std::map, already key-ordered.
-  std::vector<const std::pair<const Address, Account>*> sorted;
-  sorted.reserve(accounts_.size());
-  for (const auto& entry : accounts_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+namespace {
 
-  util::Writer w;
-  w.u32(static_cast<std::uint32_t>(sorted.size()));
-  std::uint8_t word[32];
-  for (const auto* entry : sorted) {
-    const auto& [addr, acct] = *entry;
-    w.raw(addr.span());
-    w.u64(acct.balance);
-    w.u64(acct.nonce);
-    w.bytes(acct.code);
-    w.u32(static_cast<std::uint32_t>(acct.storage.size()));
-    for (const auto& [key, value] : acct.storage) {
-      key.to_be_bytes(word);
-      w.raw({word, 32});
-      value.to_be_bytes(word);
-      w.raw({word, 32});
+/// One account in encode order: the big-endian first eight bytes of its
+/// address, which order almost every pair on their own, and its map entry.
+struct EncodeKey {
+  std::uint64_t prefix;
+  const std::pair<const Address, Account>* entry;
+
+  bool operator<(const EncodeKey& other) const {
+    if (prefix != other.prefix) return prefix < other.prefix;
+    return std::memcmp(entry->first.bytes.data(), other.entry->first.bytes.data(),
+                       Address::size()) < 0;
+  }
+};
+
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
+}  // namespace
+
+void WorldState::encode_to(util::Bytes& out) const {
+  // Address order makes the encoding independent of unordered_map history;
+  // storage is a std::map, already key-ordered. The sort runs over one
+  // contiguous array of 16-byte keys that carry each address's first eight
+  // bytes, so a comparison rarely leaves the array (bare pointers into
+  // hash-map nodes missed the cache on every one), and the exact size is
+  // summed while gathering, so `out` grows once.
+  std::vector<EncodeKey> keys(accounts_.size());
+  EncodeKey* next = keys.data();
+  std::size_t size = 4;
+  for (const auto& entry : accounts_) {
+    const Account& acct = entry.second;
+    *next++ = {entry.first.prefix_u64(), &entry};
+    size += Address::size() + 8 + 8 + 4 + acct.code.size() + 4 +
+            acct.storage.size() * 64;
+  }
+  std::sort(keys.begin(), keys.end());
+
+  const std::size_t start = out.size();
+  out.resize(start + size);
+  std::uint8_t* p = put_u32(out.data() + start, static_cast<std::uint32_t>(keys.size()));
+  for (const EncodeKey& key : keys) {
+    const auto& [addr, acct] = *key.entry;
+    std::memcpy(p, addr.bytes.data(), Address::size());
+    p = put_u64(p + Address::size(), acct.balance);
+    p = put_u64(p, acct.nonce);
+    p = put_u32(p, static_cast<std::uint32_t>(acct.code.size()));
+    if (!acct.code.empty()) std::memcpy(p, acct.code.data(), acct.code.size());
+    p = put_u32(p + acct.code.size(), static_cast<std::uint32_t>(acct.storage.size()));
+    for (const auto& [slot, value] : acct.storage) {
+      slot.to_be_bytes(p);
+      value.to_be_bytes(p + 32);
+      p += 64;
     }
   }
-  return std::move(w).take();
+}
+
+util::Bytes WorldState::encode() const {
+  util::Bytes out;
+  encode_to(out);
+  return out;
 }
 
 std::optional<WorldState> WorldState::decode(util::ByteSpan data) {

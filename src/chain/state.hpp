@@ -105,6 +105,8 @@ class WorldState final : public StateView {
   /// regardless of hash-map insertion history. This is the on-disk snapshot
   /// payload (sc::store) and the byte-identity basis of the recovery tests.
   util::Bytes encode() const;
+  /// Appends encode()'s bytes to `out`, growing it once to the exact size.
+  void encode_to(util::Bytes& out) const;
   static std::optional<WorldState> decode(util::ByteSpan data);
   /// SHA-256 over encode() — the state checksum recorded by the store's tip
   /// journal on clean shutdown and re-verified on open.

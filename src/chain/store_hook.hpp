@@ -11,7 +11,8 @@
 // block: append_block (block + delta, fsync'd by the hook) -> optional
 // write_snapshot at flatten heights -> write_tip with the post-fork-choice
 // canonical head. on_close carries the tip state digest for the clean-
-// shutdown record.
+// shutdown record. write_snapshot is an offer: the store decides from its
+// byte counts whether this flatten height gets a snapshot file.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,10 @@ class StoreHook {
                             std::string* why) = 0;
   virtual bool write_tip(std::uint64_t height, const Hash256& id,
                          std::string* why) = 0;
+  /// Offered at every flatten height. The store writes a full-state
+  /// snapshot only once its log has grown, since the block of its newest
+  /// snapshot, by at least that snapshot's bytes (the first offer to a fresh
+  /// store always writes); true when it wrote one or did not need to.
   virtual bool write_snapshot(std::uint64_t height, const Hash256& id,
                               const WorldState& state, std::string* why) = 0;
   /// True when a durable full-state snapshot exists for this block, in which

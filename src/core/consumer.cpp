@@ -12,7 +12,10 @@ std::optional<SraView> Consumer::view_of(const Sra& sra, std::uint64_t height,
   view.block_height = height;
   const chain::WorldState& state = chain_.best_state();
   view.confirmed_vulns = contracts::vuln_count_of(state, sra.contract);
-  view.insurance_intact = state.balance(sra.contract) >= sra.insurance;
+  // A reclaim empties the escrow, but the contract refuses it once any
+  // vulnerability is confirmed: a closed release forfeited nothing.
+  view.insurance_intact = contracts::is_closed(state, sra.contract) ||
+                          state.balance(sra.contract) >= sra.insurance;
   return view;
 }
 

@@ -24,7 +24,7 @@ struct SraView {
   Sra sra;
   std::uint64_t block_height = 0;      ///< Where the SRA was recorded.
   std::uint64_t confirmed_vulns = 0;   ///< Registry-contract count.
-  bool insurance_intact = false;       ///< Escrow still ≥ initial? (no forfeits)
+  bool insurance_intact = false;       ///< No bounty forfeited from the escrow.
 
   bool safe_to_deploy() const { return confirmed_vulns == 0; }
 };

@@ -130,14 +130,23 @@ std::string snapshot_file_name(std::uint64_t height, const crypto::Hash256& id) 
          ".snap";
 }
 
+/// {height, id, length-prefixed WorldState::encode()}, encoded in place: the
+/// state is written straight after its length prefix, which is patched once
+/// the size is known, so the payload is the only copy of the state's bytes.
 util::Bytes encode_snapshot_payload(std::uint64_t height,
                                     const crypto::Hash256& id,
                                     const chain::WorldState& state) {
   util::Writer w;
   w.u64(height);
   w.raw(id.span());
-  w.bytes(state.encode());
-  return std::move(w).take();
+  w.u32(0);
+  util::Bytes payload = std::move(w).take();
+  const std::size_t prefix = payload.size();
+  state.encode_to(payload);
+  const std::size_t length = payload.size() - prefix;
+  for (std::size_t i = 0; i < 4; ++i)
+    payload[prefix - 4 + i] = static_cast<std::uint8_t>(length >> (8 * i));
+  return payload;
 }
 
 }  // namespace
@@ -269,6 +278,7 @@ std::unique_ptr<BlockStore> BlockStore::open(const std::string& dir,
   if (!store->journal_) return nullptr;
 
   store->scan_snapshot_dir();
+  store->rebase_snapshot_budget();
 
   if (store->opened_existing_) store->metrics_->recovery_replays.inc();
   if (store->torn_tail_truncated_) store->metrics_->torn_tail_truncations.inc();
@@ -344,11 +354,25 @@ void BlockStore::scan_snapshot_dir() {
       const auto height = r.u64();
       const auto id = r.raw(32);
       if (height && id)
-        snapshots_[crypto::Hash256::from_span(*id)] = {*height,
-                                                       entry.path().string()};
+        snapshots_[crypto::Hash256::from_span(*id)] = {entry.path().string(),
+                                                       opened->log->size()};
       return false;  // single-record file
     });
   }
+}
+
+void BlockStore::rebase_snapshot_budget() {
+  budget_.reset();
+  for (const auto& [id, file] : snapshots_) {
+    const auto indexed = by_id_.find(id);
+    if (indexed == by_id_.end()) continue;  // its block did not survive
+    if (!budget_ || indexed->second.offset > budget_->log_offset)
+      budget_ = SnapshotBudget{indexed->second.offset, file.bytes};
+  }
+}
+
+bool BlockStore::snapshot_due() const {
+  return !budget_ || !log_ || log_->size() - budget_->log_offset >= budget_->bytes;
 }
 
 void BlockStore::note_io_error(StoreErrorCode code, int sys_errno,
@@ -433,6 +457,7 @@ bool BlockStore::write_snapshot(std::uint64_t height, const crypto::Hash256& id,
   const std::string tmp = dir_ + "/" + name + ".tmp";
   const std::string final_path = dir_ + "/" + name;
   std::remove(tmp.c_str());
+  std::uint64_t file_bytes = 0;
   {
     auto opened = RecordLog::open(tmp, options_.fsync, why, "store.snap");
     if (!opened || !opened->log)
@@ -442,12 +467,16 @@ bool BlockStore::write_snapshot(std::uint64_t height, const crypto::Hash256& id,
     if (!opened->log->sync()) return snapshot_error("fsync " + tmp + " failed");
     extra_fsyncs_ += opened->log->fsync_count();
     extra_bytes_ += opened->log->appended_bytes();
+    file_bytes = opened->log->size();
   }
   if (std::rename(tmp.c_str(), final_path.c_str()) != 0)
     return snapshot_error("rename to " + final_path + " failed");
   if (options_.fsync && !sync_dir(dir_))
     return snapshot_error("directory fsync after rename failed");
-  snapshots_[id] = {height, final_path};
+  snapshots_[id] = {final_path, file_bytes};
+  const auto indexed = by_id_.find(id);
+  budget_ = SnapshotBudget{
+      indexed != by_id_.end() ? indexed->second.offset : log_->size(), file_bytes};
   metrics_->snapshots_written.inc();
   publish_metrics();
   return true;
@@ -582,10 +611,11 @@ bool BlockStore::compact(const std::vector<crypto::Hash256>& keep,
     if (keep_set.contains(it->first)) {
       ++it;
     } else {
-      std::remove(it->second.second.c_str());
+      std::remove(it->second.path.c_str());
       it = snapshots_.erase(it);
     }
   }
+  rebase_snapshot_budget();
 
   metrics_->log_compactions.inc();
   metrics_->compacted_blocks_dropped.add(dropped);
@@ -627,8 +657,7 @@ std::optional<chain::WorldState> BlockStore::load_snapshot(
     const crypto::Hash256& id) const {
   const auto it = snapshots_.find(id);
   if (it == snapshots_.end()) return std::nullopt;
-  auto opened =
-      RecordLog::open(it->second.second, false, nullptr, "store.snap");
+  auto opened = RecordLog::open(it->second.path, false, nullptr, "store.snap");
   if (!opened || !opened->log) return std::nullopt;
   std::optional<chain::WorldState> state;
   opened->log->scan([&](std::uint64_t, util::Bytes payload) {

@@ -85,6 +85,13 @@ class BlockStore {
   /// contract) and fsyncs the journal.
   bool write_tip(std::uint64_t height, const crypto::Hash256& id,
                  std::string* why);
+  /// True when the block log has grown, since the block of the newest
+  /// snapshot, by at least that snapshot's file bytes — or when there is no
+  /// snapshot yet. The chain offers a snapshot at every flatten height and
+  /// the store writes one only when this holds, so snapshot bytes stay
+  /// bounded by log bytes whatever the size of the state. After a reopen
+  /// the newest snapshot file and its block's log offset restore the count.
+  bool snapshot_due() const;
   /// Writes a full-state snapshot for the block (tmp+rename, fsync'd).
   bool write_snapshot(std::uint64_t height, const crypto::Hash256& id,
                       const chain::WorldState& state, std::string* why);
@@ -142,6 +149,9 @@ class BlockStore {
   bool index_block(const crypto::Hash256& id, std::uint64_t height,
                    std::uint64_t offset);
   void scan_snapshot_dir();
+  /// Points the snapshot budget at the snapshot whose block sits latest in
+  /// the log (none when no snapshot's block is stored).
+  void rebase_snapshot_budget();
   void publish_metrics();
   /// Records an I/O failure (store_io_errors_total{op}); `degrading` flips
   /// the store into read-only mode and pins last_error() to the first such
@@ -159,9 +169,17 @@ class BlockStore {
   std::unordered_map<crypto::Hash256, IndexEntry> by_id_;
   std::vector<crypto::Hash256> order_;  ///< Append order (replay order).
   std::uint64_t max_height_ = 0;
-  /// Snapshot id -> {height, file path}.
-  std::unordered_map<crypto::Hash256, std::pair<std::uint64_t, std::string>>
-      snapshots_;
+  struct SnapshotFile {
+    std::string path;
+    std::uint64_t bytes = 0;  ///< File size, framing included.
+  };
+  std::unordered_map<crypto::Hash256, SnapshotFile> snapshots_;
+  /// The newest snapshot's block's log offset and file bytes (snapshot_due).
+  struct SnapshotBudget {
+    std::uint64_t log_offset = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::optional<SnapshotBudget> budget_;
 
   crypto::Hash256 index_genesis_;  ///< Genesis id from/for the meta record.
   bool opened_existing_ = false;

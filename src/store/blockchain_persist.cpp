@@ -43,9 +43,10 @@ class BlockStoreHook final : public StoreHook {
     return store_->write_tip(height, id, why);
   }
 
+  /// Writes only once the log has paid for it (BlockStore::snapshot_due).
   bool write_snapshot(std::uint64_t height, const Hash256& id,
                       const WorldState& state, std::string* why) override {
-    return store_->write_snapshot(height, id, state, why);
+    return !store_->snapshot_due() || store_->write_snapshot(height, id, state, why);
   }
 
   bool has_snapshot(const Hash256& id) const override {
@@ -201,6 +202,7 @@ bool Blockchain::open(const std::string& dir, const PersistenceOptions& options,
     tip_state_ = std::move(*snapshot);
     tip_at_ = id;
     commitment_.rebuild(tip_state_);
+    rep.snapshot_height = i;
     break;
   }
   move_tip_to(best_head_);

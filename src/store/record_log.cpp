@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -274,10 +275,13 @@ bool RecordLog::write_all(std::uint64_t offset, util::ByteSpan data) {
 
 std::optional<std::uint64_t> RecordLog::append(util::ByteSpan payload) {
   if (read_only_ || failed_) return std::nullopt;
-  util::Writer frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32(payload));
-  frame.raw(payload);
+  // The frame header and the payload are written in place, one after the
+  // other, so the payload is never copied into a frame buffer.
+  util::Writer header;
+  header.u32(static_cast<std::uint32_t>(payload.size()));
+  header.u32(crc32(payload));
+  const util::ByteSpan head = header.data();
+  const std::uint64_t frame_size = kFrameSize + payload.size();
   const std::uint64_t offset = end_;
 
   bool wrote = false;
@@ -292,19 +296,19 @@ std::optional<std::uint64_t> RecordLog::append(util::ByteSpan payload) {
     case fault::FaultKind::kShortWrite: {
       // A torn write: a prefix of the frame reaches the file, then the write
       // fails — the rollback below must erase it.
-      std::size_t n = fired.arg != 0
-                          ? static_cast<std::size_t>(fired.arg)
-                          : frame.data().size() / 2;
-      if (n > frame.data().size()) n = frame.data().size();
-      if (n > 0)
-        write_all(offset, {frame.data().data(), n});
+      std::uint64_t n = fired.arg != 0 ? fired.arg : frame_size / 2;
+      if (n > frame_size) n = frame_size;
+      write_all(offset, head.first(static_cast<std::size_t>(std::min(n, kFrameSize))));
+      if (n > kFrameSize)
+        write_all(offset + kFrameSize,
+                  payload.first(static_cast<std::size_t>(n - kFrameSize)));
       last_errno_ = fired.err;
       errno = fired.err;
       wrote = false;
       break;
     }
     default:
-      wrote = write_all(offset, frame.data());
+      wrote = write_all(offset, head) && write_all(offset + kFrameSize, payload);
       if (!wrote) last_errno_ = errno;
       break;
   }
@@ -319,8 +323,8 @@ std::optional<std::uint64_t> RecordLog::append(util::ByteSpan payload) {
     errno = saved;
     return std::nullopt;
   }
-  end_ += frame.data().size();
-  appended_bytes_ += frame.data().size();
+  end_ += frame_size;
+  appended_bytes_ += frame_size;
   return offset;
 }
 

@@ -1,6 +1,7 @@
 // Consumer API: authoritative references and retrospective alerts.
 #include <gtest/gtest.h>
 
+#include "contracts/smartcrowd_contract.hpp"
 #include "core/consumer.hpp"
 #include "core/platform.hpp"
 
@@ -36,6 +37,33 @@ TEST(Consumer, ListsConfirmedSras) {
   EXPECT_FALSE(dirty_view->safe_to_deploy());
   EXPECT_GT(dirty_view->confirmed_vulns, 0u);
   // The dirty release's escrow has paid bounties out.
+  EXPECT_FALSE(dirty_view->insurance_intact);
+}
+
+// insurance_intact means "no bounty was forfeited": a provider's reclaim
+// empties an untouched escrow, and that must not read as a forfeit.
+TEST(Consumer, ReclaimedEscrowReadsIntactAndPaidBountyDoesNot) {
+  PlatformConfig config = config_for(51);
+  config.reclaim_delay = 350.0;
+  Platform platform(std::move(config));
+  const auto clean = platform.release_system(0, 0.0, 100 * kEther, kEther);
+  const auto dirty = platform.release_system(1, 1.0, 1000 * kEther, 10 * kEther);
+  platform.run_for(1200.0);
+
+  Consumer consumer(platform.blockchain());
+  const auto clean_view = consumer.inspect(clean);
+  const auto dirty_view = consumer.inspect(dirty);
+  ASSERT_TRUE(clean_view.has_value());
+  ASSERT_TRUE(dirty_view.has_value());
+  const chain::WorldState& state = platform.blockchain().best_state();
+  // The clean release was reclaimed: its escrow is empty and closed.
+  EXPECT_EQ(clean_view->confirmed_vulns, 0u);
+  ASSERT_TRUE(contracts::is_closed(state, clean_view->sra.contract));
+  EXPECT_EQ(state.balance(clean_view->sra.contract), 0u);
+  EXPECT_TRUE(clean_view->insurance_intact);
+  // The dirty release paid bounties out of its escrow and cannot reclaim.
+  EXPECT_GT(dirty_view->confirmed_vulns, 0u);
+  EXPECT_FALSE(contracts::is_closed(state, dirty_view->sra.contract));
   EXPECT_FALSE(dirty_view->insurance_intact);
 }
 

@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -679,6 +681,246 @@ TEST(StoreChain, RamOnlyChainKeepsAllHistoryResident) {
   EXPECT_EQ(first->transactions.size(), 1u);
   EXPECT_EQ(first_receipts->size(), 1u);
   EXPECT_FALSE(first_delta->empty());
+}
+
+// -- Snapshot budget -----------------------------------------------------------
+// A durable chain offers the store a snapshot at every flatten height; the
+// store writes one only once the block log has grown, since the block of its
+// newest snapshot, by at least that snapshot's file bytes.
+
+/// Snapshot files of a store directory: height (from the file name) -> bytes.
+std::map<std::uint64_t, std::uintmax_t> snapshot_files(const std::string& dir) {
+  std::map<std::uint64_t, std::uintmax_t> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("snap_", 0) != 0 || e.path().extension() != ".snap") continue;
+    out[std::stoull(name.substr(5, 16), nullptr, 16)] = e.file_size();
+  }
+  return out;
+}
+
+std::uintmax_t log_bytes(const std::string& dir) {
+  return std::filesystem::file_size(dir + "/blocks.log");
+}
+
+/// `count` blocks of `txs` transfers from alice, each carrying `data` zero
+/// bytes of calldata, sealed on a RAM-only chain: the calldata grows the
+/// block log without more signatures.
+std::vector<Block> fat_blocks(const GenesisConfig& genesis, int count, int txs,
+                              std::size_t data) {
+  const auto alice = key(1);
+  const auto miner = key(3);
+  Blockchain chain(genesis);
+  std::vector<Block> blocks;
+  std::uint64_t nonce = 0;
+  for (int i = 0; i < count; ++i) {
+    const std::uint64_t h = chain.best_height() + 1;
+    std::vector<Transaction> body;
+    for (int t = 0; t < txs; ++t) {
+      Transaction tx;
+      tx.kind = TxKind::kTransfer;
+      tx.nonce = nonce++;
+      tx.to = pinned::derived(h * 64 + static_cast<std::uint64_t>(t));
+      tx.value = kEther / 1000;
+      tx.data.assign(data, 0);
+      tx.gas_limit = 21'000 + 4 * data;
+      tx.sign_with(alice);
+      body.push_back(std::move(tx));
+    }
+    blocks.push_back(make_block(chain, chain.best_head(), h, h * 10, 1,
+                                miner.address(), std::move(body)));
+    std::string why;
+    EXPECT_TRUE(chain.submit_block(blocks.back(), &why, /*skip_pow=*/true)) << why;
+  }
+  return blocks;
+}
+
+/// Submits `blocks[from, to)` to `chain`, asserting each is accepted.
+void submit_range(Blockchain& chain, const std::vector<Block>& blocks,
+                  std::size_t from, std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    std::string why;
+    ASSERT_TRUE(chain.submit_block(blocks[i], &why, /*skip_pow=*/true))
+        << "height " << i + 1 << ": " << why;
+  }
+}
+
+constexpr std::uint64_t kBudgetFlatten = 8;
+constexpr int kBudgetBlocks = 48;
+
+/// The chain every budget test grows: test_genesis plus 10^4 derived
+/// accounts (a ~440 KB snapshot at ~44 bytes an account) and blocks of
+/// ~33 KB of log, so a snapshot pays for itself after roughly fourteen
+/// blocks — later than the next flatten height.
+const GenesisConfig& budget_genesis() {
+  static const GenesisConfig genesis = [] {
+    GenesisConfig config = test_genesis(kBudgetFlatten);
+    for (std::uint64_t i = 0; i < 10'000; ++i)
+      config.allocations.emplace_back(pinned::derived(i), kEther);
+    return config;
+  }();
+  return genesis;
+}
+const std::vector<Block>& budget_blocks() {
+  static const std::vector<Block> blocks =
+      fat_blocks(budget_genesis(), kBudgetBlocks, /*txs=*/8, /*data=*/4096);
+  return blocks;
+}
+
+TEST(SnapshotBudget, FlattenHeightsWaitUntilTheLogPaysForASnapshot) {
+  TempDir dir;
+  const std::string store_dir = dir.sub("store");
+  const std::vector<Block>& blocks = budget_blocks();
+  Blockchain durable(budget_genesis());
+  std::string why;
+  ASSERT_TRUE(durable.open(store_dir, {}, &why)) << why;
+
+  // The rule, replayed from outside: log size after each height (a block's
+  // record starts where the previous height left the log), and the height
+  // and file bytes of the newest snapshot.
+  std::vector<std::uintmax_t> log_after{log_bytes(store_dir)};
+  std::optional<std::pair<std::uint64_t, std::uintmax_t>> newest;
+  std::vector<std::uint64_t> written, skipped;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    submit_range(durable, blocks, i, i + 1);
+    const std::uint64_t h = i + 1;
+    log_after.push_back(log_bytes(store_dir));
+    if (h % kBudgetFlatten != 0) continue;
+    const bool due = !newest || log_after[h] - log_after[newest->first - 1] >=
+                                    newest->second;
+    const auto files = snapshot_files(store_dir);
+    ASSERT_EQ(files.contains(h), due) << "flatten height " << h;
+    if (due) {
+      newest = {h, files.at(h)};
+      written.push_back(h);
+    } else {
+      skipped.push_back(h);
+    }
+  }
+  // The first flatten height of a fresh store writes; the next ones wait for
+  // the log to grow by that snapshot's bytes; then one is written.
+  ASSERT_GE(written.size(), 2u);
+  EXPECT_EQ(written[0], kBudgetFlatten);
+  ASSERT_FALSE(skipped.empty());
+  EXPECT_EQ(skipped[0], 2 * kBudgetFlatten);
+  EXPECT_GT(written[1], skipped[0]);
+  const std::uintmax_t first_bytes = snapshot_files(store_dir).at(written[0]);
+  EXPECT_GT(first_bytes, 400'000u);
+  EXPECT_GE(log_after[written[1]] - log_after[written[0] - 1], first_bytes);
+  EXPECT_LT(log_after[written[1] - kBudgetFlatten] - log_after[written[0] - 1],
+            first_bytes);
+  // Historic states still materialize across the skipped heights.
+  Blockchain reference(budget_genesis());
+  submit_range(reference, blocks, 0, blocks.size());
+  for (const std::uint64_t h : skipped) {
+    const Hash256 id = blocks[h - 1].id();
+    ASSERT_NE(durable.state_of(id), nullptr);
+    EXPECT_EQ(durable.state_of(id)->encode(), reference.state_of(id)->encode());
+  }
+}
+
+TEST(SnapshotBudget, DetachBetweenSnapshotsReopensWithinTheBudget) {
+  TempDir dir;
+  const std::vector<Block>& blocks = budget_blocks();
+  // Where the uninterrupted chain writes its first two snapshots, and the
+  // log size after each height.
+  std::vector<std::uintmax_t> log_after;
+  std::map<std::uint64_t, std::uintmax_t> files;
+  {
+    Blockchain durable(budget_genesis());
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("full"), {}, &why)) << why;
+    log_after.push_back(log_bytes(dir.sub("full")));
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      submit_range(durable, blocks, i, i + 1);
+      log_after.push_back(log_bytes(dir.sub("full")));
+    }
+    files = snapshot_files(dir.sub("full"));
+  }
+  ASSERT_GE(files.size(), 2u);
+  const std::uint64_t first = files.begin()->first;
+  const std::uint64_t second = std::next(files.begin())->first;
+  // The budget in blocks: how many it takes, counting the first snapshot's
+  // own, for the log to grow by that snapshot's bytes.
+  std::uint64_t budget = 1;
+  while (first - 1 + budget < log_after.size() - 1 &&
+         log_after[first - 1 + budget] - log_after[first - 1] < files.at(first))
+    ++budget;
+
+  // Die one block short of the second snapshot: the deepest the replay gets.
+  const std::uint64_t head = second - 1;
+  Blockchain reference(budget_genesis());
+  submit_range(reference, blocks, 0, head);
+  {
+    Blockchain durable(budget_genesis());
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("store"), {}, &why)) << why;
+    submit_range(durable, blocks, 0, head);
+    durable.detach_store();
+  }
+  Blockchain reopened(budget_genesis());
+  RecoveryReport report;
+  std::string why;
+  ASSERT_TRUE(reopened.open(dir.sub("store"), {}, &why, &report)) << why;
+  EXPECT_FALSE(report.clean_verified);
+  EXPECT_EQ(report.blocks_replayed, head);
+  EXPECT_EQ(reopened.best_head(), reference.best_head());
+  EXPECT_EQ(reopened.state_root(), reference.state_root());
+  EXPECT_EQ(reopened.best_state().encode(), reference.best_state().encode());
+  // The tip was rebuilt from the first snapshot, with no more deltas on top
+  // than the budget's blocks plus one flatten window.
+  EXPECT_EQ(report.snapshot_height, first);
+  EXPECT_GT(head - report.snapshot_height, kBudgetFlatten);
+  EXPECT_LE(head - report.snapshot_height, budget + kBudgetFlatten);
+}
+
+TEST(SnapshotBudget, ReopenCountsFromTheNewestSnapshotNotFromTheOpen) {
+  TempDir dir;
+  const std::vector<Block>& blocks = budget_blocks();
+  {
+    Blockchain durable(budget_genesis());
+    std::string why;
+    ASSERT_TRUE(durable.open(dir.sub("straight"), {}, &why)) << why;
+    submit_range(durable, blocks, 0, blocks.size());
+  }
+  const auto straight = snapshot_files(dir.sub("straight"));
+  ASSERT_GE(straight.size(), 2u);
+  const std::uint64_t first = straight.begin()->first;
+  const std::uint64_t second = std::next(straight.begin())->first;
+  ASSERT_FALSE(straight.contains(first + kBudgetFlatten));
+  // Reopen just after the first snapshot, where a budget the open ignored
+  // would write at the next flatten height; and just before the second,
+  // where a budget reset by the open would write later. Either way the
+  // reopened chain must write exactly the straight run's snapshots.
+  for (const std::uint64_t split : {first + 1, second - 1}) {
+    SCOPED_TRACE("reopen after height " + std::to_string(split));
+    const std::string store_dir = dir.sub("split" + std::to_string(split));
+    {
+      Blockchain durable(budget_genesis());
+      std::string why;
+      ASSERT_TRUE(durable.open(store_dir, {}, &why)) << why;
+      submit_range(durable, blocks, 0, split);
+      durable.close();
+    }
+    Blockchain reopened(budget_genesis());
+    std::string why;
+    ASSERT_TRUE(reopened.open(store_dir, {}, &why)) << why;
+    submit_range(reopened, blocks, split, blocks.size());
+    EXPECT_EQ(snapshot_files(store_dir), straight);
+  }
+}
+
+TEST(SnapshotBudget, SmallStateSnapshotsAtEveryFlattenHeight) {
+  TempDir dir;
+  const GenesisConfig genesis = test_genesis(/*flatten_interval=*/4);
+  Blockchain durable(genesis);
+  std::string why;
+  ASSERT_TRUE(durable.open(dir.sub("store"), {}, &why)) << why;
+  std::uint64_t nonce = 0;
+  grow(durable, nullptr, 40, &nonce);
+  std::vector<std::uint64_t> heights;
+  for (const auto& [h, bytes] : snapshot_files(dir.sub("store"))) heights.push_back(h);
+  EXPECT_EQ(heights, (std::vector<std::uint64_t>{4, 8, 12, 16, 20, 24, 28, 32, 36, 40}));
 }
 
 }  // namespace

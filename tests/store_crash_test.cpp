@@ -9,7 +9,10 @@
 // lands in every window of the append -> fsync -> tip-journal ordering.
 //
 // Trial count defaults small for CI latency; scripts/check.sh raises it via
-// SC_CRASH_TRIALS (the acceptance bar is >= 200 across runs).
+// SC_CRASH_TRIALS (the acceptance bar is >= 200 across runs). A second case
+// runs the same trials on a state large enough that the store's snapshot
+// budget skips flatten heights, so kills also land between snapshots that
+// are several flatten windows apart.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,10 +20,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "chain/blockchain.hpp"
+#include "pinned_genesis.hpp"
 #include "util/rng.hpp"
 
 namespace sc::chain {
@@ -31,14 +36,17 @@ crypto::KeyPair key(std::uint64_t seed) {
   return crypto::KeyPair::generate(rng);
 }
 
+/// A transfer carrying `data` zero bytes of calldata (which grows the block
+/// log without more signatures).
 Transaction transfer(const crypto::KeyPair& from, const Address& to, Amount value,
-                     std::uint64_t nonce) {
+                     std::uint64_t nonce, std::size_t data = 0) {
   Transaction tx;
   tx.kind = TxKind::kTransfer;
   tx.nonce = nonce;
   tx.to = to;
   tx.value = value;
-  tx.gas_limit = 21'000;
+  tx.data.assign(data, 0);
+  tx.gas_limit = 21'000 + 4 * data;
   tx.sign_with(from);
   return tx;
 }
@@ -52,9 +60,19 @@ GenesisConfig crash_genesis() {
   return genesis;
 }
 
-/// The deterministic sequence every trial writes: `count` linear blocks, one
-/// transfer each.
-std::vector<Block> build_sequence(const GenesisConfig& genesis, int count) {
+/// crash_genesis plus 2 000 derived accounts: a ~90 KB snapshot, which the
+/// log of build_sequence(.., 2, 4096) pays for only every few flatten heights.
+GenesisConfig large_crash_genesis() {
+  GenesisConfig genesis = crash_genesis();
+  for (std::uint64_t i = 0; i < 2'000; ++i)
+    genesis.allocations.emplace_back(pinned::derived(i), kEther);
+  return genesis;
+}
+
+/// The deterministic sequence every trial writes: `count` linear blocks of
+/// `txs` transfers, each with `data` bytes of calldata.
+std::vector<Block> build_sequence(const GenesisConfig& genesis, int count,
+                                  int txs = 1, std::size_t data = 0) {
   const auto alice = key(1);
   const auto bob = key(2);
   const auto miner = key(3);
@@ -68,8 +86,10 @@ std::vector<Block> build_sequence(const GenesisConfig& genesis, int count) {
     block.header.timestamp = h * 10;
     block.header.difficulty = 1;
     block.header.miner = miner.address();
-    block.transactions.push_back(
-        transfer(alice, bob.address(), kEther / 1000 + h, h - 1));
+    for (int t = 0; t < txs; ++t)
+      block.transactions.push_back(
+          transfer(alice, bob.address(), kEther / 1000 + h,
+                   (h - 1) * static_cast<std::uint64_t>(txs) + t, data));
     block.seal_merkle_root();
     EXPECT_TRUE(chain.seal_state_root(block));
     std::string why;
@@ -99,12 +119,25 @@ int env_trials(const char* name, int fallback) {
   return parsed > 0 ? parsed : fallback;
 }
 
-TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
-  const GenesisConfig genesis = crash_genesis();
-  constexpr int kBlocks = 24;
-  const std::vector<Block> blocks = build_sequence(genesis, kBlocks);
+/// Heights of the snapshot files in a store directory (from their names).
+std::set<std::uint64_t> snapshot_heights(const std::string& dir) {
+  std::set<std::uint64_t> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("snap_", 0) == 0 && e.path().extension() == ".snap")
+      out.insert(std::stoull(name.substr(5, 16), nullptr, 16));
+  }
+  return out;
+}
+
+/// Kills a writer child of `blocks` at random points and checks every
+/// recovery (see the file comment). `calibration_snapshots` receives the
+/// snapshot heights the uninterrupted calibration run left on disk.
+void run_kill_trials(const GenesisConfig& genesis, const std::vector<Block>& blocks,
+                     std::set<std::uint64_t>* calibration_snapshots) {
+  const int count = static_cast<int>(blocks.size());
   const std::vector<util::Bytes> references = reference_states(genesis, blocks);
-  ASSERT_EQ(references.size(), static_cast<std::size_t>(kBlocks) + 1);
+  ASSERT_EQ(references.size(), static_cast<std::size_t>(count) + 1);
 
   char tmpl[] = "/tmp/sc_store_crash_XXXXXX";
   const std::string root = ::mkdtemp(tmpl);
@@ -154,6 +187,7 @@ TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
       // Bound the kill window even if calibration hit a disk stall: a capped
       // window only biases kills earlier, which every assertion tolerates.
       if (full_run_us > 1'000'000) full_run_us = 1'000'000;
+      *calibration_snapshots = snapshot_heights(dir);
     } else {
       // Kill somewhere inside (or occasionally after) the write window.
       ::usleep(static_cast<useconds_t>(rng.uniform(full_run_us + full_run_us / 4)));
@@ -172,7 +206,7 @@ TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
     ASSERT_TRUE(recovered.open(dir, {}, &why, &report))
         << "trial " << trial << ": " << why;
     const std::uint64_t height = recovered.best_height();
-    ASSERT_LE(height, static_cast<std::uint64_t>(kBlocks)) << "trial " << trial;
+    ASSERT_LE(height, static_cast<std::uint64_t>(count)) << "trial " << trial;
     // The canonical chain must be exactly the first `height` blocks...
     for (std::uint64_t h = 1; h <= height; ++h) {
       const Block* stored = recovered.block_at(h);
@@ -185,10 +219,10 @@ TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
     // The journal never acknowledges more than the log can replay, so a
     // recovered prefix is only ever reported when the tail was torn.
     if (report.recovered_prefix) EXPECT_TRUE(report.torn_tail_truncated);
-    if (height == static_cast<std::uint64_t>(kBlocks)) ++completed;
+    if (height == static_cast<std::uint64_t>(count)) ++completed;
 
     // The recovered chain must be writable: extend it by one block.
-    if (height < static_cast<std::uint64_t>(kBlocks)) {
+    if (height < static_cast<std::uint64_t>(count)) {
       ASSERT_TRUE(recovered.submit_block(blocks[height], &why, true))
           << "trial " << trial << ": " << why;
       EXPECT_EQ(recovered.best_state().encode(), references[height + 1]);
@@ -200,6 +234,26 @@ TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
   // least once (otherwise the timing calibration is broken).
   if (trials >= 10) EXPECT_GT(killed_mid_write, 0);
   std::filesystem::remove_all(root);
+}
+
+TEST(StoreCrash, RandomKillAlwaysRecoversAPrefix) {
+  const GenesisConfig genesis = crash_genesis();
+  std::set<std::uint64_t> snapshots;
+  run_kill_trials(genesis, build_sequence(genesis, 24), &snapshots);
+  // A small state snapshots at every flatten height.
+  EXPECT_EQ(snapshots, (std::set<std::uint64_t>{4, 8, 12, 16, 20, 24}));
+}
+
+TEST(StoreCrash, RandomKillAcrossSkippedSnapshotHeights) {
+  const GenesisConfig genesis = large_crash_genesis();
+  std::set<std::uint64_t> snapshots;
+  run_kill_trials(genesis, build_sequence(genesis, 32, /*txs=*/2, /*data=*/4096),
+                  &snapshots);
+  // The budget wrote at the first flatten height, skipped some, and wrote
+  // again before the end of the sequence.
+  ASSERT_GE(snapshots.size(), 2u);
+  EXPECT_EQ(*snapshots.begin(), 4u);
+  EXPECT_LT(snapshots.size(), 8u);
 }
 
 }  // namespace
