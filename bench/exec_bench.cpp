@@ -1,33 +1,32 @@
-// Parallel-execution harness: block-apply throughput vs worker-lane count.
+// Execution-layer harness: where block execution's time goes, and what the
+// worker lanes buy.
 //
-// Two workloads over a large (10^5-account) state, each a single block of
-// pre-signed transfers applied at 1/2/4/8 lanes:
-//   low_conflict  — every transaction has its own sender and its own fresh
-//                   recipient, so every speculative result commits and the
-//                   block parallelizes perfectly in theory;
-//   high_conflict — every transaction pays one of a handful of hot accounts,
-//                   so almost every speculative result is discarded and
-//                   re-executed sequentially (the adversarial bound).
-// One lane runs the sequential journaled executor (the exact pre-parallel
-// path); >1 lanes run the optimistic parallel executor. Every parallel run is
-// checked receipt-by-receipt against the sequential result before timing is
-// reported — a wrong result aborts the bench.
+// block_apply — the template plus adopted connect of a block_pipeline-shaped
+//   block (64 transactions: 3/4 transfers to distinct recipients, 1/4
+//   register_initial calls into four registry contracts, half of them to one
+//   hot contract) on a chain of 10^5 accounts, signatures already cached as
+//   mempool admission leaves them. Two ways to seal the template, in
+//   alternating blocks: `known` is build_block_template, which hashes each
+//   transaction once for the Merkle root and hands the ids down to execution;
+//   `hashed` seals the Merkle root and then calls seal_state_root without
+//   ids, so the executor hashes each transaction again (the template path
+//   before ids were passed down). Both connects adopt the template.
+// sig_batch — batched ECDSA verification at 1/2/4/8 lanes: embarrassingly
+//   parallel, it shows the pool's scaling ceiling directly.
+// connect_cold — what that fan-out buys end to end: Blockchain::submit_block
+//   of a 64-transfer block on a fresh chain (cold signature cache) at 1 and
+//   4 lanes, the measurement that keeps crypto::batch_verify's pool path.
 //
-// A third measurement times batched signature verification (the other half
-// of the tentpole) across the same lane counts: ECDSA verify fan-out is
-// embarrassingly parallel and shows the pool's scaling ceiling directly.
-// A fourth times what that fan-out buys end to end: Blockchain::submit_block
-// of a 64-transfer block on a fresh chain (cold signature cache) at 1 and 4
-// lanes — the measurement that keeps crypto::batch_verify's pool path.
-//
-// NOTE: speedups are bounded by the physical cores of the machine running
-// the bench; on a single-core container every lane count measures ~1x.
+// Block state transitions run on one thread; lanes only verify signatures.
+// Speedups are bounded by the physical cores of the machine running the
+// bench; on a single-core container every lane count measures ~1x.
 //
 // Results print as tables and persist to BENCH_exec.json (schema in
 // EXPERIMENTS.md).
 //
-// Flags (bench_util.hpp): --runs=small uses 10^3 accounts and a 64-tx block;
-// --out=PATH.
+// Flags (bench_util.hpp): --runs=small uses 10^3 accounts and fewer blocks
+// and repetitions; --out=PATH.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,11 +35,12 @@
 
 #include "bench_util.hpp"
 #include "chain/blockchain.hpp"
-#include "chain/parallel_executor.hpp"
-#include "chain/sig_cache.hpp"
+#include "contracts/smartcrowd_contract.hpp"
 #include "crypto/batch_verify.hpp"
+#include "crypto/keccak.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -52,105 +52,120 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+double ms_since(Clock::time_point start) { return seconds_since(start) * 1e3; }
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
 chain::Address synthetic_address(util::Rng& rng) {
   chain::Address a;
   for (auto& b : a.bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
   return a;
 }
 
-struct ThreadResult {
-  unsigned threads = 0;
-  double block_ms = 0;    ///< Mean wall ms per block apply.
-  double txs_per_s = 0;
-  double speedup = 1.0;   ///< vs the 1-lane sequential run of this workload.
+struct BlockApplyResult {
+  const char* ids = "";     ///< "known" or "hashed".
+  double template_ms = 0;   ///< Median wall ms of sealing the template.
+  double connect_ms = 0;    ///< Median wall ms of its adopted submit_block.
 };
 
-struct WorkloadResult {
-  std::string name;
-  std::uint64_t conflicts = 0;  ///< Speculative discards at >1 lanes.
-  std::vector<ThreadResult> threads;
-};
-
-bool receipts_match(const std::vector<chain::Receipt>& a,
-                    const std::vector<chain::Receipt>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].tx_id != b[i].tx_id || a[i].status != b[i].status ||
-        a[i].gas_used != b[i].gas_used || a[i].fee_paid != b[i].fee_paid)
-      return false;
-  return true;
-}
-
-WorkloadResult run_workload(const std::string& name, const chain::WorldState& base,
-                            const std::vector<chain::Transaction>& txs,
-                            const std::vector<unsigned>& lane_counts, int reps) {
-  chain::BlockEnv env;
-  env.number = 1;
-  env.timestamp = 1000;
-
-  // Pre-populate the verified-tx cache as mempool admission would have, so
-  // the timed region measures execution, not ECDSA (measured separately).
-  chain::SigCache sig_cache;
-  for (const chain::Transaction& tx : txs)
-    sig_cache.insert(tx.id());
-
-  WorkloadResult result;
-  result.name = name;
-
-  std::vector<chain::Receipt> reference;
-  {  // Sequential oracle, also the 1-lane measurement's correctness anchor.
-    chain::WorldState state = base;
-    chain::JournaledState js(state);
-    reference = chain::apply_block_body(js, env, txs, chain::kBlockReward,
-                                        nullptr, &sig_cache);
-    js.commit(0);
+/// Template + adopted connect of `blocks` block_pipeline-shaped blocks per
+/// variant, alternating variants block by block on one chain.
+std::vector<BlockApplyResult> run_block_apply(std::uint64_t accounts, int blocks) {
+  constexpr std::size_t kTxs = 64;
+  constexpr std::size_t kContracts = 4;
+  util::Rng rng(0xB10C);
+  const crypto::KeyPair deployer = crypto::KeyPair::generate(rng);
+  std::vector<crypto::KeyPair> senders;
+  chain::GenesisConfig genesis;
+  genesis.allocations.push_back({deployer.address(), 100'000 * chain::kEther});
+  for (std::size_t i = 0; i < kTxs; ++i) {
+    senders.push_back(crypto::KeyPair::generate(rng));
+    genesis.allocations.push_back({senders.back().address(), 1000 * chain::kEther});
   }
-  {  // Conflict census: one parallel run against a private telemetry sink.
-    telemetry::Telemetry tel;
-    util::ThreadPool pool(1);
-    chain::WorldState state = base;
-    chain::JournaledState js(state);
-    (void)chain::apply_block_body_parallel(js, env, txs, chain::kBlockReward,
-                                           pool, &tel, &sig_cache);
-    js.commit(0);
-    result.conflicts =
-        tel.registry.counter("parallel_exec_conflicts_total", "probe").value();
+  std::vector<chain::Address> recipients;
+  for (std::uint64_t i = 0; i < accounts; ++i) {
+    recipients.push_back(synthetic_address(rng));
+    genesis.allocations.push_back({recipients.back(), chain::kEther});
   }
+  chain::Blockchain chain(genesis);
+  const chain::Address miner = synthetic_address(rng);
+  std::uint64_t timestamp = 0;
 
-  double sequential_ms = 0;
-  for (unsigned lanes : lane_counts) {
-    // Lane count includes the calling thread: pool holds lanes-1 workers.
-    std::unique_ptr<util::ThreadPool> pool;
-    if (lanes > 1) pool = std::make_unique<util::ThreadPool>(lanes - 1);
-
-    double total_s = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      chain::WorldState state = base;  // Copy outside the timed region.
-      chain::JournaledState js(state);
-      const auto start = Clock::now();
-      const std::vector<chain::Receipt> receipts =
-          pool ? chain::apply_block_body_parallel(js, env, txs, chain::kBlockReward,
-                                                  *pool, nullptr, &sig_cache)
-               : chain::apply_block_body(js, env, txs, chain::kBlockReward,
-                                         nullptr, &sig_cache);
-      total_s += seconds_since(start);
-      js.commit(0);
-      if (!receipts_match(reference, receipts)) {
-        std::printf("FATAL: %s @ %u lanes diverged from sequential receipts\n",
-                    name.c_str(), lanes);
+  auto connect = [&](chain::Block block) {
+    if (!chain.submit_block(block, nullptr, /*skip_pow=*/true)) std::abort();
+    for (const chain::Receipt& r : *chain.receipts(block.id()))
+      if (!r.ok()) {
+        std::printf("FATAL: block_apply receipt failed: %s\n", r.error.c_str());
         std::abort();
       }
+  };
+  std::vector<chain::Address> contracts;
+  {
+    std::vector<chain::Transaction> deploys;
+    for (std::size_t i = 0; i < kContracts; ++i) {
+      util::Writer w;
+      w.u64(i);
+      chain::Transaction tx = contracts::make_deploy_tx(
+          i, chain::kEther, chain::kEther / 10, crypto::keccak256(w.data()),
+          contracts::pack_metadata("exec-bench-registry", "v1", "sim://exec-bench"));
+      tx.sign_with(deployer);
+      contracts.push_back(chain::contract_address(deployer.address(), i));
+      deploys.push_back(std::move(tx));
     }
-
-    ThreadResult tr;
-    tr.threads = lanes;
-    tr.block_ms = total_s * 1e3 / reps;
-    tr.txs_per_s = static_cast<double>(txs.size()) * reps / total_s;
-    if (lanes == 1) sequential_ms = tr.block_ms;
-    tr.speedup = sequential_ms > 0 ? sequential_ms / tr.block_ms : 1.0;
-    result.threads.push_back(tr);
+    connect(chain.build_block_template(miner, timestamp += 15, 1, std::move(deploys)));
   }
-  return result;
+
+  std::uint64_t nonce = 0, serial = 0;
+  std::vector<double> template_ms[2], connect_ms[2];
+  for (int b = 0; b < 2 * blocks; ++b) {
+    std::vector<chain::Transaction> txs;
+    for (std::size_t i = 0; i < kTxs; ++i) {
+      chain::Transaction tx;
+      tx.nonce = nonce;
+      if (i % 4 == 3) {
+        tx.kind = chain::TxKind::kCall;
+        tx.to = contracts[rng.bernoulli(0.5) ? 0 : 1 + rng.uniform(kContracts - 1)];
+        tx.gas_limit = 200'000;
+        util::Writer w;
+        w.u64(serial);
+        tx.data = contracts::register_initial_calldata(crypto::keccak256(w.data()));
+      } else {
+        tx.to = recipients[(b * kTxs + i) % recipients.size()];
+        tx.value = 1000 + serial;
+        tx.gas_limit = 50'000;
+      }
+      ++serial;
+      tx.sign_with(senders[i]);
+      chain.sig_cache().insert(tx.id());  // As mempool admission leaves it.
+      txs.push_back(std::move(tx));
+    }
+    ++nonce;
+
+    const int known = b % 2 == 0;
+    timestamp += 15;
+    const auto t0 = Clock::now();
+    chain::Block block;
+    if (known) {
+      block = chain.build_block_template(miner, timestamp, 1, std::move(txs));
+    } else {
+      block.header.height = chain.best_height() + 1;
+      block.header.prev_id = chain.best_head();
+      block.header.timestamp = timestamp;
+      block.header.miner = miner;
+      block.transactions = std::move(txs);
+      block.seal_merkle_root();
+      chain.seal_state_root(block);
+    }
+    template_ms[known].push_back(ms_since(t0));
+    const auto t1 = Clock::now();
+    connect(block);
+    connect_ms[known].push_back(ms_since(t1));
+  }
+  return {{"known", median(template_ms[1]), median(connect_ms[1])},
+          {"hashed", median(template_ms[0]), median(connect_ms[0])}};
 }
 
 struct SigBatchResult {
@@ -234,85 +249,55 @@ std::vector<ConnectResult> run_connect_cold(const std::vector<crypto::KeyPair>& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  sc::bench::BenchRun run(argc, argv, "exec");
+  sc::bench::BenchRun run(argc, argv, "exec", /*version=*/3);
   const bool small = run.small();
   const std::uint64_t accounts = small ? 1'000 : 100'000;
-  const std::size_t block_txs = small ? 64 : 512;
+  const std::size_t sig_txs = small ? 64 : 512;
   const int reps = small ? 2 : 5;
+  const int apply_blocks = small ? 3 : 100;
   const std::vector<unsigned> lane_counts = {1, 2, 4, 8};
 
-  sc::bench::header("Execution layer: parallel block apply vs lane count");
-  std::printf("accounts=%llu block_txs=%zu reps=%d\n",
-              static_cast<unsigned long long>(accounts), block_txs, reps);
+  sc::bench::header("Execution layer: block apply, and what the lanes buy");
+  std::printf("accounts=%llu sig_txs=%zu reps=%d apply_blocks=%d\n",
+              static_cast<unsigned long long>(accounts), sig_txs, reps, apply_blocks);
 
+  std::printf("running block_apply...\n");
+  const std::vector<BlockApplyResult> block_apply = run_block_apply(accounts, apply_blocks);
+
+  // Distinct funded senders, each signing one transfer to a fresh recipient.
   util::Rng rng(0xE4EC);
-  chain::WorldState base;
-  for (std::uint64_t i = 0; i < accounts; ++i)
-    base.add_balance(synthetic_address(rng), 1 + rng.uniform(1'000'000));
-
-  // Distinct funded senders, shared by both workloads.
   std::vector<crypto::KeyPair> senders;
-  senders.reserve(block_txs);
-  for (std::size_t i = 0; i < block_txs; ++i) {
+  std::vector<chain::Transaction> transfers;
+  std::printf("signing %zu transfers...\n", sig_txs);
+  for (std::size_t i = 0; i < sig_txs; ++i) {
     senders.push_back(crypto::KeyPair::generate(rng));
-    base.add_balance(senders.back().address(), 10 * chain::kEther);
-  }
-
-  auto make_transfer = [](const crypto::KeyPair& from, const chain::Address& to,
-                          chain::Amount value) {
     chain::Transaction tx;
     tx.kind = chain::TxKind::kTransfer;
-    tx.nonce = 0;
-    tx.to = to;
-    tx.value = value;
+    tx.to = synthetic_address(rng);
+    tx.value = 1 + rng.uniform(1000);
     tx.gas_limit = 21'000;
-    tx.sign_with(from);
-    return tx;
-  };
-
-  std::printf("signing %zu transactions per workload...\n", block_txs);
-  std::vector<chain::Transaction> low_conflict;
-  for (std::size_t i = 0; i < block_txs; ++i)
-    low_conflict.push_back(
-        make_transfer(senders[i], synthetic_address(rng), 1 + rng.uniform(1000)));
-
-  std::vector<chain::Address> hot;
-  for (int i = 0; i < 4; ++i) hot.push_back(synthetic_address(rng));
-  std::vector<chain::Transaction> high_conflict;
-  for (std::size_t i = 0; i < block_txs; ++i)
-    high_conflict.push_back(make_transfer(senders[i], hot[i % hot.size()],
-                                          1 + rng.uniform(1000)));
-
-  std::vector<WorkloadResult> workloads;
-  for (const auto& [name, txs] :
-       {std::pair<const char*, const std::vector<chain::Transaction>*>{
-            "low_conflict", &low_conflict},
-        {"high_conflict", &high_conflict}}) {
-    std::printf("running %s...\n", name);
-    workloads.push_back(run_workload(name, base, *txs, lane_counts, reps));
+    tx.sign_with(senders.back());
+    transfers.push_back(std::move(tx));
   }
 
   std::printf("running sig_batch...\n");
-  const std::vector<SigBatchResult> sig_batch =
-      run_sig_batch(low_conflict, lane_counts, reps);
+  const std::vector<SigBatchResult> sig_batch = run_sig_batch(transfers, lane_counts, reps);
 
   std::printf("running connect_cold...\n");
   constexpr std::size_t kConnectTxs = 64;
   const std::vector<crypto::KeyPair> connect_senders(senders.begin(),
                                                      senders.begin() + kConnectTxs);
-  const std::vector<chain::Transaction> connect_txs(low_conflict.begin(),
-                                                    low_conflict.begin() + kConnectTxs);
+  const std::vector<chain::Transaction> connect_txs(transfers.begin(),
+                                                    transfers.begin() + kConnectTxs);
   const std::vector<ConnectResult> connect_cold =
       run_connect_cold(connect_senders, connect_txs, {1, 4}, small ? 3 : 20);
 
-  for (const WorkloadResult& w : workloads) {
-    std::printf("\n%s (conflicts: %llu/%zu)\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.conflicts), block_txs);
-    std::printf("%-8s %12s %14s %9s\n", "lanes", "block ms", "txs/s", "speedup");
-    for (const ThreadResult& t : w.threads)
-      std::printf("%-8u %12.3f %14.0f %8.2fx\n", t.threads, t.block_ms,
-                  t.txs_per_s, t.speedup);
-  }
+  std::printf("\n64-tx block, template + adopted connect (median of %d blocks each)\n",
+              apply_blocks);
+  std::printf("%-8s %12s %12s %12s\n", "ids", "template ms", "connect ms", "total ms");
+  for (const BlockApplyResult& r : block_apply)
+    std::printf("%-8s %12.3f %12.3f %12.3f\n", r.ids, r.template_ms, r.connect_ms,
+                r.template_ms + r.connect_ms);
   std::printf("\nbatched signature verification\n");
   std::printf("%-8s %12s %9s\n", "lanes", "µs/sig", "speedup");
   for (const SigBatchResult& r : sig_batch)
@@ -322,30 +307,25 @@ int main(int argc, char** argv) {
   for (const ConnectResult& r : connect_cold)
     std::printf("%-8u %12.3f %8.2fx\n", r.threads, r.connect_ms, r.speedup);
 
-  run.results("    \"accounts\": %llu,\n    \"block_txs\": %zu,\n",
-              static_cast<unsigned long long>(accounts), block_txs);
-  run.results("    \"workloads\": [\n");
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    const WorkloadResult& w = workloads[i];
-    run.results("      {\"name\": \"%s\", \"conflicts\": %llu, \"threads\": [\n",
-                w.name.c_str(), static_cast<unsigned long long>(w.conflicts));
-    for (std::size_t t = 0; t < w.threads.size(); ++t) {
-      const ThreadResult& tr = w.threads[t];
-      run.results("        {\"threads\": %u, \"block_ms\": %.3f, "
-                  "\"txs_per_s\": %.0f, \"speedup\": %.3f}%s\n",
-                  tr.threads, tr.block_ms, tr.txs_per_s, tr.speedup,
-                  t + 1 < w.threads.size() ? "," : "");
-    }
-    run.results("      ]}%s\n", i + 1 < workloads.size() ? "," : "");
+  run.results("    \"accounts\": %llu,\n",
+              static_cast<unsigned long long>(accounts));
+  run.results("    \"block_apply\": {\"block_txs\": 64, \"blocks\": %d, \"ids\": [\n",
+              apply_blocks);
+  for (std::size_t i = 0; i < block_apply.size(); ++i) {
+    const BlockApplyResult& r = block_apply[i];
+    run.results("      {\"ids\": \"%s\", \"template_ms\": %.3f, \"connect_ms\": %.3f, "
+                "\"total_ms\": %.3f}%s\n",
+                r.ids, r.template_ms, r.connect_ms, r.template_ms + r.connect_ms,
+                i + 1 < block_apply.size() ? "," : "");
   }
-  run.results("    ],\n    \"sig_batch\": [\n");
+  run.results("    ]},\n    \"sig_batch\": {\"sigs\": %zu, \"threads\": [\n", sig_txs);
   for (std::size_t i = 0; i < sig_batch.size(); ++i) {
     const SigBatchResult& r = sig_batch[i];
     run.results("      {\"threads\": %u, \"us_per_sig\": %.3f, \"speedup\": %.3f}%s\n",
                 r.threads, r.us_per_sig, r.speedup,
                 i + 1 < sig_batch.size() ? "," : "");
   }
-  run.results("    ],\n    \"connect_cold\": {\"block_txs\": %zu, \"threads\": [\n",
+  run.results("    ]},\n    \"connect_cold\": {\"block_txs\": %zu, \"threads\": [\n",
               kConnectTxs);
   for (std::size_t i = 0; i < connect_cold.size(); ++i) {
     const ConnectResult& r = connect_cold[i];

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: regular build + tests, the ASan/UBSan suite, the
-# parallel miner, executor, secp256k1 table build, SHA-256 kernel dispatch
-# and telemetry handles under TSan, and a static-analysis pass over the
-# SmartCrowd contract. Mirrors what CI should run on every change.
+# parallel miner, the lane differential, secp256k1 table build, SHA-256 kernel
+# dispatch and telemetry handles under TSan, and a static-analysis pass over
+# the SmartCrowd contract. Mirrors what CI should run on every change.
 #
 #   scripts/check.sh            # everything
 #   SKIP_TSAN=1 scripts/check.sh  # skip the thread-sanitizer stage
@@ -104,8 +104,8 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   cmake --build build-tsan --target chain_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R MineParallel
 
-  echo "== TSan: parallel executor differential (vs sequential + legacy) =="
-  cmake --build build-tsan --target chain_parallel_test -j "$jobs"
+  echo "== TSan: lane differential (durable chains at 1 and 4 lanes) =="
+  cmake --build build-tsan --target chain_exec_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R ParallelExec
 
   echo "== TSan: sealed-template adoption at 4 lanes =="

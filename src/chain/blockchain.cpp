@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "chain/parallel_executor.hpp"
 #include "chain/pow.hpp"
 #include "crypto/batch_verify.hpp"
 #include "telemetry/telemetry.hpp"
@@ -71,11 +70,15 @@ Blockchain::Blockchain(const GenesisConfig& genesis, telemetry::Telemetry* tel)
       metrics_(telemetry::resolve(tel).handles<Metrics>()),
       state_cfg_(genesis.state_store) {
   if (state_cfg_.flatten_interval == 0) state_cfg_.flatten_interval = 1;
+  // Two entries a bucket: half the bucket array of the tx index, one entry
+  // per canonical transaction, the largest per-block term a durable chain
+  // keeps in RAM.
+  tx_index_.max_load_factor(2.0f);
 
   unsigned lanes = genesis.execution.threads;
   if (lanes == 0) lanes = std::max(1u, std::thread::hardware_concurrency());
   // The submitting thread is a lane too, so a pool of lanes-1 workers gives
-  // exactly `lanes` concurrent executors; one lane means sequential.
+  // exactly `lanes` concurrent verifiers; one lane verifies inline.
   if (lanes > 1) exec_pool_ = std::make_unique<util::ThreadPool>(lanes - 1);
 
   Block genesis_block;
@@ -254,19 +257,14 @@ BlockEnv Blockchain::env_of(const Block& block) const {
 }
 
 void Blockchain::execute_block_body(const Block& block,
+                                    const std::vector<Hash256>* tx_ids,
                                     std::vector<Receipt>* receipts,
                                     StateDelta* delta) {
-  const BlockEnv env = env_of(block);
   JournaledState journal(tip_state_);
-  std::vector<Receipt> r =
-      exec_pool_ ? apply_block_body_parallel(journal, env, block.transactions,
-                                             kBlockReward, *exec_pool_,
-                                             telemetry_, &sig_cache_)
-                 : apply_block_body(journal, env, block.transactions,
-                                    kBlockReward, telemetry_, &sig_cache_);
+  *receipts = apply_block_body(journal, env_of(block), block.transactions, kBlockReward,
+                               telemetry_, &sig_cache_, tx_ids);
   *delta = journal.collect_delta();
   journal.commit(0);
-  if (receipts) *receipts = std::move(r);
 }
 
 void Blockchain::roll_commitment(const StateDelta& delta) {
@@ -294,7 +292,8 @@ bool Blockchain::SealedTemplate::matches(const Block& block) const {
          h.merkle_root == header.merkle_root && h.state_root == header.state_root;
 }
 
-bool Blockchain::seal_state_root(Block& block, std::string* why) {
+bool Blockchain::seal(Block& block, const std::vector<Hash256>* tx_ids,
+                      std::string* why) {
   if (!entries_.contains(block.header.prev_id)) {
     if (why) *why = "unknown parent";
     return false;
@@ -304,7 +303,7 @@ bool Blockchain::seal_state_root(Block& block, std::string* why) {
     return false;
   }
   SealedTemplate sealed;
-  execute_block_body(block, &sealed.receipts, &sealed.delta);
+  execute_block_body(block, tx_ids, &sealed.receipts, &sealed.delta);
   const bool on_best = block.header.prev_id == best_head_;
   // On the best head this is the trie roll the block's connect adopts.
   if (on_best)
@@ -321,6 +320,7 @@ bool Blockchain::seal_state_root(Block& block, std::string* why) {
     return true;
   }
   sealed.header = block.header;
+  sealed.body = block.transactions;
   sealed_ = std::move(sealed);
   return true;
 }
@@ -345,9 +345,17 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     return fail("height mismatch");
   if (block.header.timestamp < parent.block.header.timestamp)
     return fail("timestamp regression");
-  // Each transaction is hashed once per connect: the ids serve the Merkle
-  // check, the signature cache and the tx index.
-  const std::vector<Hash256> tx_ids = block.leaves();
+  // Each transaction is hashed once per block: the ids serve the Merkle
+  // check, the signature cache, execution and the tx index. The body of the
+  // template sealed on this header was hashed when it was built, and its
+  // receipts carry the ids.
+  std::vector<Hash256> tx_ids;
+  if (sealed_ && sealed_->matches(block) && block.transactions == sealed_->body) {
+    tx_ids.reserve(sealed_->receipts.size());
+    for (const Receipt& receipt : sealed_->receipts) tx_ids.push_back(receipt.tx_id);
+  } else {
+    tx_ids = block.leaves();
+  }
   if (crypto::merkle_root(tx_ids) != block.header.merkle_root)
     return fail("merkle root mismatch");
   // `id` was already computed for the duplicate check; reuse it instead of
@@ -356,7 +364,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
 
   // Batch-verify the body's signatures through the verified-tx cache before
   // the per-transaction structural checks: uncached signatures fan out across
-  // the worker pool (inline in sequential mode), successes land in the cache,
+  // the worker pool (inline with one lane), successes land in the cache,
   // and every later check of these transactions — the validation loop below,
   // the executor, a competing fork carrying the same tx — is a cache hit.
   // A high-s signature never becomes a job: left uncached, the check below
@@ -406,7 +414,7 @@ bool Blockchain::submit_block(const Block& block, std::string* why, bool skip_po
     // net diff is retained.
     if (!move_tip_to(block.header.prev_id))
       return fail("parent state unreadable from the store");
-    execute_block_body(block, &entry.receipts, &entry.delta);
+    execute_block_body(block, &tx_ids, &entry.receipts, &entry.delta);
     roll_commitment(entry.delta);
   }
   // Enforce that the header committed exactly this post-state. A wrong root
@@ -686,8 +694,10 @@ Block Blockchain::build_block_template(const Address& miner, std::uint64_t times
   block.header.difficulty = difficulty;
   block.header.miner = miner;
   block.transactions = std::move(txs);
-  block.seal_merkle_root();
-  seal_state_root(block);  // Parent is the best head; always succeeds.
+  // Hashed once, for the Merkle root and for execution.
+  const std::vector<Hash256> tx_ids = block.leaves();
+  block.header.merkle_root = crypto::merkle_root(tx_ids);
+  seal(block, &tx_ids, nullptr);  // Parent is the best head; always succeeds.
   return block;
 }
 

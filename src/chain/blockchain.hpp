@@ -64,14 +64,15 @@ struct StateStoreConfig {
   std::uint64_t flatten_interval = 32;
 };
 
-/// Knobs for block execution (chain/parallel_executor.hpp).
+/// Knobs for block execution.
 struct ExecutionConfig {
-  /// Worker lanes for block apply. 1 (the default) keeps the sequential
-  /// journaled executor — bit-for-bit the pre-parallel behaviour, and what
-  /// the metrics determinism gate pins. >1 enables optimistic parallel
-  /// execution over a persistent thread pool with that many lanes
-  /// (pool workers + the submitting thread); 0 means one lane per hardware
-  /// thread. Receipts, state and deltas are byte-identical across settings.
+  /// Worker lanes for block validation: >1 fans the batch verification of a
+  /// connected block's uncached signatures out over a persistent thread pool
+  /// with that many lanes (pool workers + the submitting thread); 0 means
+  /// one lane per hardware thread; 1 (the default) verifies inline. State
+  /// transitions always run on one thread, in the sequential journaled
+  /// executor, so receipts, state, deltas and store bytes are byte-identical
+  /// across settings.
   unsigned threads = 1;
 };
 
@@ -82,7 +83,7 @@ struct GenesisConfig {
   std::uint64_t difficulty = 1;
   /// Diff/snapshot trade-off of the state store.
   StateStoreConfig state_store;
-  /// Sequential vs parallel block execution + signature caching.
+  /// Signature-verification lanes of block validation.
   ExecutionConfig execution;
 };
 
@@ -239,7 +240,9 @@ class Blockchain {
   /// in tests, attack harnesses — everything is undone at once.
   /// build_block_template does this for the canonical path. False if the
   /// parent is unknown.
-  bool seal_state_root(Block& block, std::string* why = nullptr);
+  bool seal_state_root(Block& block, std::string* why = nullptr) {
+    return seal(block, nullptr, why);
+  }
 
   /// Authenticated root of the best head's post-state — equals the best
   /// head's header.state_root between submits.
@@ -298,6 +301,8 @@ class Blockchain {
     /// As stamped; the PoW nonce is never compared. Tx ids cover signer and
     /// signature, so the Merkle root pins the whole body.
     BlockHeader header;
+    /// The executed body; receipts[i].tx_id is body[i]'s id.
+    std::vector<Transaction> body;
     StateDelta delta;
     std::vector<Receipt> receipts;
 
@@ -321,12 +326,18 @@ class Blockchain {
   /// nothing moved, when a delta that left RAM cannot be read back; the walk
   /// back over the same blocks reuses the deltas read and cannot fail.
   bool move_tip_to(const Hash256& target);
+  /// seal_state_root, executing with the body's `tx_ids` when the chain
+  /// hashed them itself (build_block_template); nullptr hashes in the
+  /// executor. Ids never come from outside: the held receipts carry them into
+  /// the Merkle check of the template's own connect.
+  bool seal(Block& block, const std::vector<Hash256>* tx_ids, std::string* why);
   /// Executes `block`'s body on tip_state_ (which must equal the parent's
-  /// post-state), committing the journal and returning the net delta;
-  /// receipts are optional. The commitment is NOT updated — callers follow
-  /// up with commitment_.update for the direction they need.
-  void execute_block_body(const Block& block, std::vector<Receipt>* receipts,
-                          StateDelta* delta);
+  /// post-state), committing the journal and returning the net delta and
+  /// receipts. `tx_ids` are the body's ids when the caller has them. The
+  /// commitment is NOT updated — callers follow up with commitment_.update
+  /// for the direction they need.
+  void execute_block_body(const Block& block, const std::vector<Hash256>* tx_ids,
+                          std::vector<Receipt>* receipts, StateDelta* delta);
   /// Rolls commitment_ over `delta` to tip_state_ (already transitioned),
   /// timed into state_root_update_seconds: one sample per connected block.
   void roll_commitment(const StateDelta& delta);
@@ -358,8 +369,8 @@ class Blockchain {
   bool store_degraded_ = false;
   StateStoreConfig state_cfg_;
   SigCache sig_cache_;
-  /// Worker pool for parallel execution + batched signature verification;
-  /// null when execution.threads resolves to 1 (sequential mode).
+  /// Worker pool for batched signature verification at connect; null when
+  /// execution.threads resolves to 1.
   std::unique_ptr<util::ThreadPool> exec_pool_;
   std::unordered_map<Hash256, Entry> entries_;
   Hash256 genesis_id_;

@@ -105,11 +105,16 @@ Receipt apply_transaction(WorldState& state, const BlockEnv& env, const Transact
 
 /// Applies a whole block body: all transactions in order, then credits the
 /// miner with the block reward plus collected fees. Returns receipts.
+/// `tx_ids`, when given, are the body's transaction ids in order (a caller
+/// that hashed them for the Merkle root passes them down, so receipts and
+/// signature-cache lookups do not hash each transaction again); nullptr
+/// hashes here. Throws std::invalid_argument if its length is not the body's.
 std::vector<Receipt> apply_block_body(JournaledState& state, const BlockEnv& env,
                                       const std::vector<Transaction>& txs,
                                       Amount block_reward,
                                       telemetry::Telemetry* tel = nullptr,
-                                      SigCache* sig_cache = nullptr);
+                                      SigCache* sig_cache = nullptr,
+                                      const std::vector<Hash256>* tx_ids = nullptr);
 
 std::vector<Receipt> apply_block_body(WorldState& state, const BlockEnv& env,
                                       const std::vector<Transaction>& txs,

@@ -201,18 +201,6 @@ void JournaledState::set_storage(const Address& contract, const crypto::U256& ke
   state_.set_storage(contract, key, value);
 }
 
-void JournaledState::set_balance(const Address& addr, Amount amount) {
-  Account& acct = mutable_account(addr);
-  record({.kind = OpKind::kBalance, .addr = addr, .balance = acct.balance});
-  acct.balance = amount;
-}
-
-void JournaledState::set_nonce(const Address& addr, std::uint64_t nonce) {
-  Account& acct = mutable_account(addr);
-  record({.kind = OpKind::kNonce, .addr = addr, .nonce = acct.nonce});
-  acct.nonce = nonce;
-}
-
 void JournaledState::set_code(const Address& addr, util::Bytes code) {
   Account& acct = mutable_account(addr);
   record({.kind = OpKind::kCode, .addr = addr, .code = acct.code});
@@ -247,12 +235,6 @@ void JournaledState::commit(std::size_t mark) {
   // Inner commits keep their ops (an outer mark may still revert them); only
   // committing the outermost scope lets the journal go.
   if (mark == 0) ops_.clear();
-}
-
-ReadSet JournaledState::touched_since(std::size_t mark) const {
-  ReadSet touched;
-  for (std::size_t i = mark; i < ops_.size(); ++i) touched.insert(ops_[i].addr);
-  return touched;
 }
 
 StateDelta JournaledState::collect_delta() const {

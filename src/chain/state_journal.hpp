@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_set>
 #include <vector>
 
 #include "chain/state.hpp"
@@ -62,29 +61,14 @@ struct StateDelta {
   static std::optional<StateDelta> decode(util::ByteSpan data);
 };
 
-/// Account-granular read set: the addresses whose account record (balance,
-/// nonce, code or a storage slot) an execution consulted. The parallel
-/// executor validates a speculative transaction by intersecting its read set
-/// with the addresses written by earlier transactions in the block.
-using ReadSet = std::unordered_set<Address>;
-
 /// Mutable state façade with journaled rollback. All writes go straight to
 /// the underlying WorldState; the journal only holds reverse ops.
 class JournaledState final : public StateView {
  public:
   explicit JournaledState(WorldState& state) : state_(state) {}
 
-  // Reads pass through (writes are already in the underlying state). When a
-  // read sink is attached, every consulted address is recorded — this is how
-  // the sequential executor produces per-tx read sets.
-  const Account* find(const Address& addr) const override {
-    if (reads_) reads_->insert(addr);
-    return state_.find(addr);
-  }
-
-  /// Attaches (or, with nullptr, detaches) a read-set sink. The journal does
-  /// not own the sink; the caller clears it between transactions.
-  void track_reads(ReadSet* sink) { reads_ = sink; }
+  // Reads pass through (writes are already in the underlying state).
+  const Account* find(const Address& addr) const override { return state_.find(addr); }
 
   // -- Mutations (each records its reverse op) ------------------------------
   void add_balance(const Address& addr, Amount amount);
@@ -94,16 +78,6 @@ class JournaledState final : public StateView {
   void set_storage(const Address& contract, const crypto::U256& key,
                    const crypto::U256& value);
   void set_code(const Address& addr, util::Bytes code);
-  // Raw journaled field writes, used by the parallel executor to replay a
-  // validated speculative write set in canonical order. Unlike the WorldState
-  // setters of the same names these record reverse ops, so block deltas and
-  // reverts see replayed writes exactly like executed ones.
-  void set_balance(const Address& addr, Amount amount);
-  void set_nonce(const Address& addr, std::uint64_t nonce);
-  /// Journaled existence touch: creates the account (recording the creation)
-  /// without changing any field — the replay image of a speculative
-  /// execution that touched a fresh account but left every field default.
-  void touch_account(const Address& addr) { (void)mutable_account(addr); }
 
   // -- Checkpoints ----------------------------------------------------------
   /// A checkpoint is the current journal length; nesting is unbounded and
@@ -120,10 +94,6 @@ class JournaledState final : public StateView {
   /// come from the earliest op per (account, field); after-values are read
   /// from the current state. No-op fields (before == after) are dropped.
   StateDelta collect_delta() const;
-
-  /// Addresses written by the ops recorded at or after `mark` — the write
-  /// set of a re-executed transaction, fed into conflict validation.
-  ReadSet touched_since(std::size_t mark) const;
 
   std::size_t journal_size() const { return ops_.size(); }
   /// High-water journal length since construction (state_journal_depth gauge).
@@ -151,7 +121,6 @@ class JournaledState final : public StateView {
   WorldState& state_;
   std::vector<Op> ops_;
   std::size_t high_water_ = 0;
-  ReadSet* reads_ = nullptr;  ///< Optional read-set sink (not owned).
 };
 
 }  // namespace sc::chain

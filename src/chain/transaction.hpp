@@ -68,6 +68,9 @@ struct Transaction {
   /// Full wire encoding (body + pubkey + signature).
   util::Bytes encode() const;
   static std::optional<Transaction> decode(util::ByteSpan data);
+
+  /// Field-for-field equality (signed body and authentication).
+  bool operator==(const Transaction&) const = default;
 };
 
 /// Deterministic contract address: keccak(sender || nonce), low 20 bytes.

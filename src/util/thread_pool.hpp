@@ -3,8 +3,8 @@
 // The parallel miner (chain/pow.cpp) spawns and joins a fresh set of
 // std::threads per mine_parallel() call — fine for PoW grinding where one
 // call runs for milliseconds, but far too expensive for per-block work like
-// speculative transaction execution or batched signature verification, which
-// want a pool that persists across blocks. ThreadPool keeps N workers parked
+// batched signature verification at block connect, which wants
+// a pool that persists across blocks. ThreadPool keeps N workers parked
 // on a condition variable; `submit()` enqueues a task, `wait_idle()` blocks
 // until the queue is drained and every worker is parked again, and
 // `for_shards()` is the fork-join shape mine_parallel uses (run f(shard) for

@@ -268,7 +268,10 @@ Block sealed_transfers(Blockchain& chain, const crypto::KeyPair& from) {
 // Transaction ids cover the signer, so a body re-signed by another funded key
 // changes every id and with them the Merkle root: the block is refused before
 // anything executes, the held template survives, and the genuine block still
-// adopts it.
+// adopts it. The template's ids are reused only for a body equal to the held
+// one, so any other body under the template's header — one transaction
+// re-signed, one dropped, two swapped, one field changed without re-signing —
+// is hashed and fails the same Merkle check.
 TEST(ChainTemplate, ResignedBodyIsRejectedBeforeExecution) {
   telemetry::Telemetry tel;
   Blockchain chain(funded_genesis(), &tel);
@@ -288,6 +291,18 @@ TEST(ChainTemplate, ResignedBodyIsRejectedBeforeExecution) {
   std::string why;
   EXPECT_FALSE(chain.submit_block(forged, &why, true));
   EXPECT_EQ(why, "merkle root mismatch");
+
+  std::vector<Block> variants(4, genuine);
+  variants[0].transactions.back().sign_with(mallory);
+  variants[1].transactions.pop_back();
+  std::swap(variants[2].transactions[0], variants[2].transactions[1]);
+  variants[3].transactions[1].value += 1;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    ASSERT_FALSE(variants[v].transactions == genuine.transactions) << "variant " << v;
+    why.clear();
+    EXPECT_FALSE(chain.submit_block(variants[v], &why, true)) << "variant " << v;
+    EXPECT_EQ(why, "merkle root mismatch") << "variant " << v;
+  }
   // Only accessors that leave the template held.
   EXPECT_EQ(chain.best_head(), before.head);
   EXPECT_EQ(chain.block_count(), before.blocks);

@@ -68,11 +68,9 @@ void run_cluster_phase(std::uint64_t seed, telemetry::Telemetry& tel) {
   util::Rng key_rng(0x5eed + seed);
   const auto funder = crypto::KeyPair::generate(key_rng);
   chain::GenesisConfig genesis{{{funder.address(), 1000 * kEther}}, 0, 1};
-  // The determinism gate (--check + byte-compare) requires sequential
-  // execution: with worker lanes, the parallel_exec_* counters and the
-  // speculation-phase scvm_* attribution would depend on thread scheduling.
-  // One lane is the ExecutionConfig default; pin it anyway so a default
-  // change can never silently break byte-stability.
+  // The determinism gate (--check + byte-compare) pins the dump to one lane,
+  // the ExecutionConfig default, so a default change can never silently
+  // change what it measures.
   genesis.execution.threads = 1;
   const core::RecordGate gate = [](const chain::Transaction& tx) {
     return tx.protocol != chain::ProtocolKind::kDetailedReport ||
